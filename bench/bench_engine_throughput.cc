@@ -1,16 +1,16 @@
-// Request-parallel engine throughput: the classic serial engine vs the
-// pipelined engine (DESIGN.md §12) at engine_threads in {1, 2, 4, 8} on a
+// Request-parallel engine throughput: the serial Run loop (waves of one) vs
+// RunPipelined (DESIGN.md §12) at engine_threads in {1, 2, 4, 8} on a
 // 10k-vertex perturbed grid city with 1k vehicles, written to
 // BENCH_engine_throughput.json (same schema-versioned envelope as the
 // other bench emitters).
 //
 // Per row: end-to-end requests/sec, commit-latency p50/p99 (admission to
-// commit, from the pipeline/request_latency_us histogram), conflict rate,
-// and re-match counts. Every pipelined row runs with the SAME pinned
-// wave_size, so the determinism contract applies: committed assignments
-// are verified identical across all thread counts before any number is
-// reported — a row that diverges from the engine_threads=1 replay fails
-// the bench outright.
+// commit, from the engine/request_latency_us histogram the wave core feeds
+// for both entry points), conflict rate, and re-match counts. Every
+// pipelined row runs with the SAME pinned wave_size, so the determinism
+// contract applies: committed assignments are verified identical across
+// all thread counts before any number is reported — a row that diverges
+// from the engine_threads=1 replay fails the bench outright.
 //
 // The speedup bar (>= 3x at engine_threads=8 vs the serial pipeline) is
 // only enforced when the host actually has 8 cores to run on; on smaller
@@ -51,7 +51,7 @@ constexpr int kBarThreads = 8;
 
 struct Row {
   std::string label;
-  int engine_threads = 0;  ///< 0 = classic serial Run().
+  int engine_threads = 0;  ///< 0 = serial Run().
   double elapsed_ms = 0.0;
   double requests_per_sec = 0.0;
   std::uint64_t served = 0;
@@ -74,6 +74,14 @@ EngineOptions BaseOptions() {
   return eopts;
 }
 
+void ReadCommitLatency(const Engine& engine, Row* row) {
+  if (const obs::LatencyHistogram* latency =
+          engine.metrics().FindHistogram("engine/request_latency_us")) {
+    row->commit_p50_us = latency->Percentile(50);
+    row->commit_p99_us = latency->Percentile(99);
+  }
+}
+
 Row RunClassic(const RoadNetwork& graph, const GridIndex& grid,
                const std::vector<Request>& requests,
                bench::ObsSession* obs) {
@@ -91,6 +99,7 @@ Row RunClassic(const RoadNetwork& graph, const GridIndex& grid,
   row.requests_per_sec = requests.size() / (row.elapsed_ms / 1e3);
   row.served = stats.served;
   row.unserved = stats.unserved;
+  ReadCommitLatency(engine, &row);
   obs->Add(row.label, BuildRunReport(stats, engine.metrics(),
                                      engine.telemetry().Export(),
                                      "bench_engine_throughput"));
@@ -123,11 +132,7 @@ Row RunPipelined(const RoadNetwork& graph, const GridIndex& grid,
   row.rematches = stats.rematches;
   row.serial_rematches = stats.serial_rematches;
   row.conflict_rate = static_cast<double>(stats.conflicts) / requests.size();
-  if (const obs::LatencyHistogram* latency =
-          engine.metrics().FindHistogram("pipeline/request_latency_us")) {
-    row.commit_p50_us = latency->Percentile(50);
-    row.commit_p99_us = latency->Percentile(99);
-  }
+  ReadCommitLatency(engine, &row);
   obs->Add(row.label, BuildRunReport(stats, engine.metrics(),
                                      engine.telemetry().Export(),
                                      "bench_engine_throughput"));

@@ -39,8 +39,8 @@ inline constexpr int kLifecycleSchemaVersion = 1;
 struct LifecycleEvent {
   std::uint64_t request = 0;
   double submit_time = 0.0;  ///< Sim seconds (admission tick).
-  /// 1-based wave the request was admitted in; 0 = classic serial engine
-  /// (no waves).
+  /// 1-based RunPipelined wave the request was admitted in; 0 for the
+  /// waves of one that ProcessRequest/Run process.
   std::uint64_t wave = 0;
   /// Registry global epoch of the snapshot the committing match ran
   /// against (0 when the request never matched, i.e. shed).

@@ -32,7 +32,7 @@ namespace ptar::obs {
 ///       object as all-zero, which ParseReportSummary does.
 ///   3 — adds the "pipeline" object (waves, conflicts, rematches,
 ///       serial_rematches) emitted by the request-parallel engine. Also
-///       additive; missing (v1/v2, or a classic serial run) means all-zero.
+///       additive; missing (v1/v2, or a serial Run) means all-zero.
 ///   4 — adds the "timeseries" object (window_seconds plus one flattened
 ///       entry per sim-time window: request/served/shed/conflict counts,
 ///       ladder occupancy, commit-latency count/p50/p99). Additive;
@@ -69,7 +69,7 @@ struct RunReport {
   std::uint64_t partial_skylines = 0;
   std::array<std::uint64_t, 4> ladder_requests{};
   /// Pipeline block (schema v3): request-parallel engine wave and
-  /// conflict/re-match accounting. All-zero for classic serial runs.
+  /// conflict/re-match accounting. All-zero for serial Run waves of one.
   std::uint64_t waves = 0;
   std::uint64_t conflicts = 0;
   std::uint64_t rematches = 0;

@@ -77,19 +77,19 @@ struct EngineOptions {
   /// num_vehicles. Replay files (src/check) use this so that removing one
   /// vehicle during shrinking does not reshuffle every other start.
   std::vector<VertexId> start_vertices;
-  /// Worker threads for evaluating the shadow matchers of one request
-  /// concurrently (one task per matcher; each matcher gets its own
-  /// DistanceOracle). 1 = serial. Results are bit-identical either way:
-  /// matchers only read shared state and write into pre-assigned slots.
+  /// Worker threads for the shadow slots of a ProcessRequest/Run wave: the
+  /// wave's one request is evaluated by every matcher concurrently (one
+  /// task per matcher; each matcher gets its own DistanceOracle). 1 =
+  /// serial. Results are bit-identical either way: matchers only read the
+  /// snapshot and write into pre-assigned slots.
   int threads = 1;
-  /// Matcher workers for the request-parallel pipeline (RunPipelined): a
-  /// wave of concurrent requests is matched by this many workers against
-  /// one frozen registry snapshot, then committed serially in request-id
-  /// order. 1 = the canonical serial replay (same wave structure, same
-  /// arbitration, no pool). Committed assignments are identical at every
-  /// thread count for a fixed wave_size (the `--serial_check` contract);
-  /// only execution overlaps. Ignored by the classic Run()/ProcessRequest
-  /// path.
+  /// Matcher workers for RunPipelined waves: a wave of concurrent requests
+  /// is matched by this many workers against one frozen registry snapshot,
+  /// then committed serially in request-id order. 1 = the canonical serial
+  /// replay (same wave structure, same arbitration, no pool). Committed
+  /// assignments are identical at every thread count for a fixed wave_size
+  /// (the `--serial_check` contract); only execution overlaps.
+  /// ProcessRequest/Run waves hold one request and use `threads` instead.
   int engine_threads = 1;
   /// Requests admitted per pipeline wave. 0 = auto (2 * engine_threads,
   /// at least 1). NOTE: the auto value depends on engine_threads, so
@@ -196,7 +196,8 @@ struct RunStats {
   /// Requests processed at each degradation level (index = DegradeLevel).
   std::array<std::uint64_t, kNumDegradeLevels> ladder_requests{};
 
-  // --- Request-parallel pipeline (RunPipelined; zero for classic Run). ---
+  // --- Waves of RunPipelined. Run feeds the same core one request at a
+  // time and leaves these zero: a wave of one cannot conflict. ---
   /// Waves the stream was processed in.
   std::uint64_t waves = 0;
   /// Conflict events: a request's chosen vehicle was already committed to
@@ -250,9 +251,6 @@ class Engine {
   const GridIndex& grid() const { return *grid_; }
   double now() const { return now_; }
 
-  /// Context bound to the counted matching oracle.
-  MatchContext MakeMatchContext();
-
   /// Sum of the fleet's kinetic-tree memory (Table IV's second row).
   std::size_t KineticTreeMemoryBytes() const;
 
@@ -264,11 +262,11 @@ class Engine {
   /// trusted maintenance oracle (kinetic/tree_auditor.h). On-demand
   /// release-build counterpart of EngineOptions::audit_after_commit.
   ///
-  /// Safe to call from another thread while RunPipelined is in flight: the
-  /// audit takes the pipeline's quiesce lock, so it observes the fleet only
-  /// at a wave boundary — a quiesced epoch where no matcher worker is
-  /// running and no commit is half-applied — and never a torn tree. When no
-  /// pipeline is active the lock is uncontended and this behaves as before.
+  /// Safe to call from another thread while a run is in flight: the audit
+  /// takes the wave core's quiesce lock, so it observes the fleet only at a
+  /// wave boundary — a quiesced epoch where no matcher worker is running
+  /// and no commit is half-applied — and never a torn tree. Between runs
+  /// the lock is uncontended.
   AuditReport AuditFleet();
 
   /// Installs `factory(slot)` as the fault hook on the counted matching
@@ -282,13 +280,16 @@ class Engine {
   void SetFaultHookFactory(
       std::function<DistanceOracle::FaultHook(std::size_t slot)> factory);
 
-  /// Unified run metrics: engine phase-latency histograms
-  /// ("engine/<phase>_us"), per-matcher per-request distributions and
-  /// totals ("matcher/<name>/..."), oracle batching counters
-  /// ("matcher/<name>/batch/..."), and thread-pool queue stats ("pool/...").
-  /// Accumulates across Run() calls. Names follow the determinism
-  /// convention of obs::MetricsRegistry: only "pool/" entries and the
-  /// timing-suffixed ones may differ between equal-seed runs.
+  /// Unified run metrics, the same names for every entry point: wave phase
+  /// latencies ("engine/<phase>_us" for advance, refresh, snapshot, match,
+  /// commit, plus the per-request admission-to-commit
+  /// "engine/request_latency_us"), per-matcher per-request distributions
+  /// and totals ("matcher/<name>/..."), oracle batching counters
+  /// ("matcher/<name>/batch/..."), and thread-pool queue stats ("pool/...");
+  /// RunPipelined adds its wave counters ("pipeline/..."). Accumulates
+  /// across calls. Names follow the determinism convention of
+  /// obs::MetricsRegistry: only "pool/" entries and the timing-suffixed
+  /// ones may differ between equal-seed runs.
   const obs::MetricsRegistry& metrics() const { return metrics_; }
 
   /// Windowed service-quality telemetry, accumulated across runs (engine
@@ -297,10 +298,10 @@ class Engine {
   const obs::WindowedTelemetry& telemetry() const { return telemetry_; }
 
   /// Attaches (or, with nullptr, detaches) a per-request lifecycle
-  /// recorder; not owned, must outlive the runs it observes. Both engines
-  /// record events only from their serial sections (classic per-request
-  /// path; pipeline admission/commit passes), so the recorded stream is
-  /// identical at every threads / engine_threads value.
+  /// recorder; not owned, must outlive the runs it observes. The wave core
+  /// records events only from its serial admission and commit passes, so
+  /// the recorded stream is identical at every threads / engine_threads
+  /// value.
   void SetLifecycleRecorder(obs::LifecycleRecorder* recorder) {
     lifecycle_ = recorder;
   }
@@ -326,27 +327,30 @@ class Engine {
     Status status = Status::OK();
   };
 
-  /// Advances to the request's submit time, repairs stale state, evaluates
-  /// every matcher on the identical snapshot, and commits the option chosen
-  /// (by policy) from the first matcher's result set.
+  /// A wave of one (DESIGN.md §12): advances to the request's submit time,
+  /// repairs stale state, evaluates every matcher on one registry snapshot
+  /// (shadow slots 1..k on the `threads` pool), and commits the option
+  /// chosen (by policy) from the first matcher's result set.
   RequestOutcome ProcessRequest(const Request& request,
                                 std::span<Matcher* const> matchers);
 
-  /// Replays a whole (time-sorted) request stream; the first matcher is the
-  /// committing one and the precision/recall reference.
+  /// Replays a whole (time-sorted) request stream as consecutive waves of
+  /// one; the first matcher is the committing one and the precision/recall
+  /// reference.
   RunStats Run(std::span<const Request> requests,
                std::span<Matcher* const> matchers);
 
-  /// Request-parallel pipeline (DESIGN.md §12). The stream is processed in
-  /// waves of ResolvedWaveSize() requests: admission (overload shed +
-  /// level capture, in request-id order) → advance world to the wave's
-  /// latest submit time → refresh stale trees → freeze a registry snapshot
-  /// → match every admitted request concurrently on engine_threads workers
-  /// (per-worker matcher from `make_matcher`, per-worker DistanceOracle and
-  /// WorkBudget) → commit serially in request-id order. When two requests
-  /// picked the same vehicle, the lower id commits and the loser re-matches
-  /// against a fresh snapshot (at most max_rematch_rounds times, then a
-  /// serial tail against live state).
+  /// Request-parallel entry point to the same wave core (DESIGN.md §12).
+  /// The stream is processed in waves of ResolvedWaveSize() requests:
+  /// admission (overload shed + level capture, in request-id order) →
+  /// advance world to the wave's latest submit time → refresh stale trees →
+  /// freeze a registry snapshot → match every admitted request concurrently
+  /// on engine_threads workers (worker w runs its own matcher from
+  /// `make_matcher` on slot w's DistanceOracle and WorkBudget) → commit
+  /// serially in request-id order. When two requests picked the same
+  /// vehicle, the lower id commits and the loser re-matches against a
+  /// fresh snapshot (at most max_rematch_rounds times, then a serial tail
+  /// against live state).
   ///
   /// Determinism: committed assignments depend on wave_size but not on
   /// engine_threads — workers read only the frozen snapshot, arbitration is
@@ -370,18 +374,24 @@ class Engine {
     double budget = 0.0;          ///< Unspent movement distance.
     std::unordered_set<RequestId> onboard;  ///< For sharing-rate tracking.
   };
+  /// One admitted request travelling through a wave (engine_pipeline.cc).
+  struct InFlight;
+  /// One entry-point call's slots, stats and sinks (engine_pipeline.cc).
+  struct WaveRun;
 
   KineticTree::DistFn MaintenanceDistFn();
-  /// Context for matcher slot `m`: slot 0 gets match_oracle_, every other
-  /// slot its own oracle (created by EnsureMatcherOracles) so concurrent
-  /// matcher evaluations never share mutable state.
+  /// The one MatchContext builder, for matcher slot `m`: slot 0 gets
+  /// match_oracle_, every other slot its own oracle (created by
+  /// EnsureMatcherOracles) so concurrent matcher evaluations never share
+  /// mutable state; every slot gets the prune filter. The wave core adds
+  /// the snapshot and the slot's budget.
   MatchContext MakeMatchContextFor(std::size_t m);
   void EnsureMatcherOracles(std::size_t num_matchers);
   /// Per-slot work budgets (only allocated when overload control is on).
   void EnsureSlotBudgets(std::size_t num_matchers);
-  /// Arms slot `m`'s budget at the current degradation level and returns
-  /// it, or nullptr when overload control is disabled.
-  WorkBudget* ArmSlotBudget(std::size_t m);
+  /// Arms slot `m`'s budget for ladder level `level` and returns it, or
+  /// nullptr when overload control is disabled.
+  WorkBudget* ArmSlotBudget(std::size_t m, DegradeLevel level);
   /// Feeds the finished request's signals to the overload controller and
   /// records the degrade/* transition counters and deadline slack.
   /// `worker_deadline_hit` is the request's own budget-latched wall
@@ -406,9 +416,32 @@ class Engine {
   void RefreshStaleTrees();
   const Option* ChooseOption(std::span<const Option> options);
   void CommitChoice(const Request& request, const Option& option);
-  /// Folds per-run oracle batching stats and pool queue stats into
-  /// metrics_ (and resets the sources so a later Run() adds only deltas).
-  void HarvestRunMetrics(std::span<Matcher* const> matchers);
+
+  // --- The wave core behind ProcessRequest, Run and RunPipelined. ---
+  /// Starts one entry-point call. `pipelined` false: slot m evaluates
+  /// slots[m] on the wave's one request (slot 0 commits, the rest are
+  /// shadows). True: slot w is pipeline worker w and matches requests
+  /// w, w + W, ... of each wave.
+  WaveRun StartRun(std::span<Matcher* const> slots, bool pipelined);
+  /// One wave: admission → advance + refresh → snapshot → match → id-ordered
+  /// commit, with bounded re-match and a serial tail for conflict losers.
+  void RunWave(std::span<const Request> wave, WaveRun& run);
+  /// Runs slot `slot`'s matcher (or the admission level's fallback) on
+  /// `inf` against `snapshot` and stores the result in inf.results[m].
+  void MatchSlot(const WaveRun& run, InFlight& inf, std::size_t m,
+                 std::size_t slot, const RegistrySnapshot& snapshot);
+  /// Signals of a request's first match, fed in id order: the ladder,
+  /// partial-skyline and prune/* counters, per-matcher aggregates.
+  void RecordMatch(WaveRun& run, const InFlight& inf);
+  /// A request's final disposition (shed, served or unserved): run stats,
+  /// commit record, latency, telemetry window, lifecycle event, and
+  /// ProcessRequest's outcome.
+  void RecordOutcome(WaveRun& run, InFlight& inf, const Option* chosen,
+                     double latency_micros);
+  /// Ends a call: folds per-slot oracle batching stats, pool queue stats,
+  /// tree-cap counters and the pipeline/* counters into metrics_ (resetting
+  /// the sources so a later call adds only deltas).
+  void HarvestRunMetrics(WaveRun& run);
 
   /// Builds the contraction hierarchy when `options` selects the CH
   /// backend (null otherwise); *out_micros receives the build time.
@@ -440,29 +473,30 @@ class Engine {
   std::function<DistanceOracle::FaultHook(std::size_t)> fault_hook_factory_;
 
   OverloadController overload_;
-  /// One budget per matcher slot so pooled shadow evaluation stays
-  /// bit-identical to serial: each slot charges only its own work.
+  /// One budget per matcher slot so pooled evaluation stays bit-identical
+  /// to serial: each slot charges only its own work.
   std::vector<std::unique_ptr<WorkBudget>> slot_budgets_;
   /// Engine-owned fallback matchers for degraded levels (paper-default SSA
-  /// fraction; GRID verifies empty vehicles only).
+  /// fraction; GRID verifies empty vehicles only). Configuration-only in
+  /// Match(), so every slot shares them.
   SsaMatcher fallback_ssa_;
   GridScanMatcher fallback_grid_;
   /// GeoPrune prefilter, built once at construction when options_.prune is
   /// kEllipse and installed on every MatchContext (null otherwise).
   std::unique_ptr<prune::EllipsePrefilter> prune_filter_;
-  /// Workers for shadow-matcher evaluation; null when options.threads == 1.
+  /// Workers for shadow slots; created lazily on the first ProcessRequest
+  /// or Run call when options.threads > 1.
   std::unique_ptr<ThreadPool> pool_;
-  /// Workers for the request-parallel pipeline; created lazily on the
-  /// first RunPipelined call when options.engine_threads > 1.
+  /// Workers for RunPipelined waves; created lazily on the first
+  /// RunPipelined call when options.engine_threads > 1.
   std::unique_ptr<ThreadPool> engine_pool_;
-  /// Held by RunPipelined across each whole wave (admission through
-  /// commit) and by AuditFleet. Between waves — and whenever no pipeline
-  /// runs — the fleet, registry, and metrics are quiesced, which is the
-  /// only state an outside thread may observe.
+  /// Held by the wave core across each whole wave (admission through
+  /// commit), by HarvestRunMetrics and by AuditFleet. Between waves the
+  /// fleet, registry, and metrics are quiesced, which is the only state an
+  /// outside thread may observe.
   std::mutex quiesce_mu_;
 
   std::unordered_set<RequestId> shared_requests_;
-  std::uint64_t served_ = 0;
 
   obs::MetricsRegistry metrics_;
   /// Per-window service-quality deltas (EngineOptions::telemetry).
@@ -474,22 +508,26 @@ class Engine {
   /// instead of per request.
   obs::LatencyHistogram* phase_advance_us_;
   obs::LatencyHistogram* phase_refresh_us_;
+  obs::LatencyHistogram* phase_snapshot_us_;
   obs::LatencyHistogram* phase_match_us_;
   obs::LatencyHistogram* phase_commit_us_;
+  /// Admission-to-commit wall time per matched request.
+  obs::LatencyHistogram* request_latency_us_;
   /// max(0, deadline - elapsed) per request; only fed when a wall-clock
   /// deadline is configured (timing-suffixed, determinism-exempt).
   obs::LatencyHistogram* deadline_slack_us_;
   /// Pool counter values already folded into metrics_ (the pool's atomics
   /// are cumulative; HarvestRunMetrics adds only the delta).
-  std::uint64_t pool_tasks_harvested_ = 0;
-  std::uint64_t pool_wait_harvested_ = 0;
-  /// Same, for engine_pool_ (folded as "pool/engine_*").
-  std::uint64_t engine_pool_tasks_harvested_ = 0;
+  struct PoolHarvest {
+    std::uint64_t tasks = 0;
+    std::uint64_t wait_micros = 0;
+  };
+  PoolHarvest pool_harvested_;         ///< pool_ ("pool/...").
+  PoolHarvest engine_pool_harvested_;  ///< engine_pool_ ("pool/engine_...").
   /// Kinetic-tree cap counters already folded into metrics_ (per-tree
   /// counters are cumulative; HarvestRunMetrics adds only the delta).
   std::uint64_t tree_dropped_harvested_ = 0;
   std::uint64_t tree_cap_hits_harvested_ = 0;
-  std::uint64_t engine_pool_wait_harvested_ = 0;
 };
 
 }  // namespace ptar

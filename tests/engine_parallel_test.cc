@@ -11,6 +11,7 @@
 // deadlines), and the audit test is the one that genuinely races an
 // auditor thread against the pipeline for tsan to chew on.
 
+#include <array>
 #include <atomic>
 #include <cstdint>
 #include <functional>
@@ -162,6 +163,42 @@ TEST(EngineParallelTest, WaveSizeOneMatchesClassicSerialEngine) {
     EXPECT_EQ(run.log, expected);
     EXPECT_EQ(run.stats.waves, requests.size());
     EXPECT_EQ(run.stats.conflicts, 0u);  // A 1-wave cannot self-conflict.
+  }
+
+  // Second input: overload control on a deterministic work budget (no wall
+  // deadline) small enough to walk the ladder, so shed admission, fallback
+  // matchers and the ladder feed are exercised through both entry points.
+  const auto overloaded = [](EngineOptions& eopts) {
+    eopts.overload.request_budget = 16;
+    eopts.overload.degrade_after = 1;
+    eopts.overload.recover_after = 2;
+  };
+  EngineOptions oopts = copts;
+  overloaded(oopts);
+  Engine loop_engine(world.graph.get(), world.grid.get(), oopts);
+  std::vector<CommitRecord> loop_log;
+  std::array<std::uint64_t, kNumDegradeLevels> loop_ladder{};
+  for (const Request& request : requests) {
+    const Engine::RequestOutcome outcome =
+        loop_engine.ProcessRequest(request, matchers);
+    ++loop_ladder[static_cast<int>(outcome.degrade_level)];
+    CommitRecord record{.request = request.id, .shed = outcome.shed};
+    if (outcome.served) {
+      record.served = true;
+      record.vehicle = outcome.chosen.vehicle;
+      record.pickup_dist = outcome.chosen.pickup_dist;
+      record.price = outcome.chosen.price;
+    }
+    loop_log.push_back(record);
+  }
+  // Non-vacuous: the budget moved the ladder all the way to shedding.
+  EXPECT_GT(loop_ladder[static_cast<int>(DegradeLevel::kShed)], 0u);
+  for (const int threads : {1, 4}) {
+    SCOPED_TRACE("overloaded, " + std::to_string(threads) + " threads");
+    const PipeRun run =
+        RunPipe(world, requests, threads, /*wave_size=*/1, overloaded);
+    EXPECT_EQ(run.log, loop_log);
+    EXPECT_EQ(run.stats.ladder_requests, loop_ladder);
   }
 }
 
@@ -388,6 +425,36 @@ TEST(PipelineReportTest, RunPipelinedFeedsPipelineBlock) {
   // The pipeline/* counters mirror the report block.
   EXPECT_EQ(engine.metrics().Counter("pipeline/conflicts"), 1u);
   EXPECT_EQ(engine.metrics().Counter("pipeline/waves"), 1u);
+
+  // The wave core feeds the engine/* phase histograms in every mode.
+  std::size_t phases = 0;
+  for (const auto& [name, histogram] : engine.metrics().histograms()) {
+    if (!name.starts_with("engine/") || !name.ends_with("_us")) continue;
+    EXPECT_GT(histogram.count(), 0u) << name;
+    ++phases;
+  }
+  EXPECT_GE(phases, 4u);
+
+  // With a small branch cap, the report attributes every dropped branch.
+  EngineOptions capped = eopts;
+  capped.start_vertices.clear();
+  capped.num_vehicles = 3;
+  capped.tree_max_branches = 2;
+  Engine capped_engine(world.graph.get(), world.grid.get(), capped);
+  capped_engine.RunPipelined(
+      MakeRequestStream(*world.graph, {.num_requests = 40,
+                                       .duration_seconds = 300.0,
+                                       .epsilon = 1.0,
+                                       .waiting_minutes = 10.0,
+                                       .seed = 5}),
+      SsaFactory());
+  std::uint64_t dropped = 0;
+  for (const KineticTree& tree : capped_engine.fleet()) {
+    dropped += tree.branches_dropped();
+  }
+  EXPECT_GT(dropped, 0u);
+  EXPECT_EQ(capped_engine.metrics().Counter("tree/branches_dropped"),
+            dropped);
 }
 
 }  // namespace

@@ -26,6 +26,7 @@
 #include "rideshare/ssa_matcher.h"
 #include "sim/engine.h"
 #include "sim/workload.h"
+#include "tests/scenario_builder.h"
 #include "tests/test_util.h"
 
 namespace ptar {
@@ -371,6 +372,46 @@ TEST(PruneSoundnessTest, ShrunkEllipseIsCaughtAndAttributed) {
     return;  // caught — done
   }
   FAIL() << "ShrinkEllipse(0.5) produced no divergence in 20 seeds";
+}
+
+// The prefilter is installed on every MatchContext the wave core builds,
+// so RunPipelined prunes too — at any worker count, without changing a
+// single commit.
+TEST(PruneSoundnessTest, PipelinedEllipseCommitsEqualUnprunedRun) {
+  const testing::GridWorld world = testing::MakeGridWorld();
+  const std::vector<Request> requests = testing::MakeRequestStream(
+      *world.graph, {.num_requests = 40, .duration_seconds = 300.0,
+                     .seed = 21});
+  struct Piped {
+    std::vector<CommitRecord> log;
+    std::uint64_t ellipse_checked = 0;
+  };
+  const auto run = [&](PruneMode prune, int engine_threads) {
+    EngineOptions eopts;
+    eopts.num_vehicles = 20;
+    eopts.seed = 7;
+    eopts.engine_threads = engine_threads;
+    eopts.wave_size = 4;  // Pinned: commits depend on it, not on threads.
+    eopts.audit_after_commit = false;
+    eopts.prune = prune;
+    Engine engine(world.graph.get(), world.grid.get(), eopts);
+    Piped out;
+    engine.RunPipelined(
+        requests, [] { return std::make_unique<SsaMatcher>(1.0); },
+        &out.log);
+    out.ellipse_checked = engine.metrics().Counter("prune/ellipse_checked");
+    return out;
+  };
+
+  const Piped reference = run(PruneMode::kNone, 1);
+  ASSERT_EQ(reference.log.size(), requests.size());
+  EXPECT_EQ(reference.ellipse_checked, 0u);
+  for (const int threads : {1, 4}) {
+    SCOPED_TRACE(std::to_string(threads) + " engine threads");
+    const Piped pruned = run(PruneMode::kEllipse, threads);
+    EXPECT_EQ(pruned.log, reference.log);
+    EXPECT_GT(pruned.ellipse_checked, 0u);
+  }
 }
 
 }  // namespace
