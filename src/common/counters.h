@@ -21,7 +21,8 @@ namespace ptar {
 struct BatchStats {
   /// BatchDist invocations (WarmFrom calls are counted via sweeps only).
   std::uint64_t batch_calls = 0;
-  /// One-to-many Dijkstra sweeps actually run (0-target batches run none).
+  /// One-to-many calls that needed a search (0-target batches run none). A
+  /// call that resumes an earlier search still counts one.
   std::uint64_t sweeps = 0;
   /// Total pairs requested across all BatchDist calls (incl. duplicates).
   std::uint64_t pairs_requested = 0;
@@ -32,6 +33,10 @@ struct BatchStats {
   /// Dist() calls served from a WarmFrom prefetch (counted one compdist at
   /// that moment, exactly when an unbatched run would have computed them).
   std::uint64_t warm_hits = 0;
+  /// Vertices settled by one-to-many searches (BatchDist and WarmFrom),
+  /// resumed segments included: the work the sweeps actually did. A CH
+  /// downward sweep counts every vertex it finalizes.
+  std::uint64_t settled = 0;
 
   double MeanPairsPerSweep() const {
     return sweeps == 0 ? 0.0
@@ -46,6 +51,7 @@ struct BatchStats {
     pairs_from_cache += other.pairs_from_cache;
     pairs_swept += other.pairs_swept;
     warm_hits += other.warm_hits;
+    settled += other.settled;
   }
 };
 

@@ -150,15 +150,32 @@ std::vector<VertexId> CHQuery::Path(VertexId s, VertexId t, Distance* dist) {
   return path;
 }
 
-void CHQuery::RunUpwardFrom(VertexId source) {
+CHQuery::SourceSearch& CHQuery::SearchFrom(VertexId source) {
+  ++source_clock_;
+  SourceSearch* lru = &sources_[0];
+  for (SourceSearch& slot : sources_) {
+    if (slot.source == source && slot.last_use != 0) {
+      slot.last_use = source_clock_;
+      return slot;
+    }
+    if (slot.last_use < lru->last_use) lru = &slot;
+  }
+  lru->source = source;
+  lru->last_use = source_clock_;
+  lru->upward.clear();
+  lru->sweep_dist.clear();
   fwd_.Begin(ch_->num_vertices());
   fwd_.stamp[source] = fwd_.run;
   fwd_.dist[source] = 0.0;
   fwd_.heap.push_back({0.0, source});
   VertexId v = kInvalidVertex;
   Distance d = 0.0;
-  while (SettleNext(fwd_, &v, &d)) {
-  }
+  while (SettleNext(fwd_, &v, &d)) lru->upward.push_back({v, d});
+  return *lru;
+}
+
+void CHQuery::ClearSourceCache() {
+  for (SourceSearch& slot : sources_) slot.last_use = 0;
 }
 
 void CHQuery::OneToMany(VertexId source, std::span<const VertexId> targets,
@@ -175,28 +192,34 @@ void CHQuery::OneToMany(VertexId source, std::span<const VertexId> targets,
 void CHQuery::SweepOneToMany(VertexId source,
                              std::span<const VertexId> targets,
                              std::span<Distance> out) {
-  RunUpwardFrom(source);
-  // Downward sweep: visiting vertices in descending rank order, every
-  // upward neighbor is already final, so one pass computes
-  // min(up-label, min over up-arcs (final[head] + weight)) for all n
-  // vertices without a heap. The sweep CSR indexes arcs and distances by
-  // rank position, so offsets, arcs, and the writes all stream forward;
-  // the only scattered reads are the (position-local) head slots.
-  const std::size_t n = ch_->num_vertices();
-  if (sweep_dist_.size() != n) sweep_dist_.resize(n);
-  const std::span<const VertexId> by_rank = ch_->VerticesByRankDescending();
-  for (std::uint32_t pos = 0; pos < n; ++pos) {
-    const VertexId v = by_rank[pos];
-    Distance best = fwd_.Reached(v) ? fwd_.dist[v] : kInfDistance;
-    for (const CHGraph::SweepArc& arc : ch_->SweepArcs(pos)) {
-      const Distance candidate = sweep_dist_[arc.head_pos] + arc.weight;
-      if (candidate < best) best = candidate;
+  SourceSearch& search = SearchFrom(source);
+  if (search.sweep_dist.empty()) {
+    // Downward sweep: visiting vertices in descending rank order, every
+    // upward neighbor is already final, so one pass computes
+    // min(up-label, min over up-arcs (final[head] + weight)) for all n
+    // vertices without a heap. The sweep CSR indexes arcs and distances by
+    // rank position, so offsets, arcs, and the writes all stream forward;
+    // the only scattered reads are the (position-local) head slots.
+    const std::size_t n = ch_->num_vertices();
+    std::vector<Distance>& dist = search.sweep_dist;
+    dist.assign(n, kInfDistance);
+    for (const SourceSearch::Label& label : search.upward) {
+      dist[ch_->SweepPos(label.vertex)] = label.dist;
     }
-    sweep_dist_[pos] = best;
+    for (std::uint32_t pos = 0; pos < n; ++pos) {
+      Distance best = dist[pos];
+      for (const CHGraph::SweepArc& arc : ch_->SweepArcs(pos)) {
+        const Distance candidate = dist[arc.head_pos] + arc.weight;
+        if (candidate < best) best = candidate;
+      }
+      dist[pos] = best;
+    }
+    last_settled_count_ += n;
   }
   for (std::size_t j = 0; j < targets.size(); ++j) {
-    out[j] =
-        targets[j] == source ? 0.0 : sweep_dist_[ch_->SweepPos(targets[j])];
+    out[j] = targets[j] == source
+                 ? 0.0
+                 : search.sweep_dist[ch_->SweepPos(targets[j])];
   }
 }
 
@@ -237,20 +260,14 @@ void CHQuery::BucketOneToMany(VertexId source,
     }
   }
 
-  // Join phase: one upward search from the source, scanning the bucket
-  // chain of every vertex it settles.
-  fwd_.Begin(n);
-  fwd_.stamp[source] = fwd_.run;
-  fwd_.dist[source] = 0.0;
-  fwd_.heap.push_back({0.0, source});
-  VertexId v = kInvalidVertex;
-  Distance d = 0.0;
-  while (SettleNext(fwd_, &v, &d)) {
-    if (bucket_stamp_[v] != bucket_run_) continue;
-    for (std::uint32_t e = bucket_head_[v]; e != kNoEntry;
+  // Join phase: the source's upward search (recorded once per source),
+  // scanning the bucket chain of every vertex it settles.
+  for (const SourceSearch::Label& label : SearchFrom(source).upward) {
+    if (bucket_stamp_[label.vertex] != bucket_run_) continue;
+    for (std::uint32_t e = bucket_head_[label.vertex]; e != kNoEntry;
          e = bucket_entries_[e].next) {
       const BucketEntry& entry = bucket_entries_[e];
-      const Distance candidate = d + entry.dist;
+      const Distance candidate = label.dist + entry.dist;
       if (candidate < out[entry.target_index]) {
         out[entry.target_index] = candidate;
       }

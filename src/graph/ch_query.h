@@ -29,6 +29,15 @@
 // accumulates top-down). Callers that need bit-stability get it from
 // DistanceOracle's per-epoch memo cache, not from the raw query layer.
 //
+// Repeated sources are cheap: both strategies start with an exhaustive
+// upward search from the source that does not depend on the targets. The
+// workspace keeps, for the two most recently used sources, that search in
+// settle order (replayed by the bucket join) and, once a large batch needed
+// it, the source's full downward-sweep array (large batches from it become
+// lookups). Replaying a recorded search performs the same additions and
+// comparisons as rerunning it, so answers keep their exact bits.
+// ClearSourceCache() drops this state.
+//
 // Stall-on-demand prunes the *expansion* of provably suboptimal vertices
 // but keeps their labels, and joins consider every reached vertex, so the
 // results are exact regardless of stalling; the downward sweep recovers any
@@ -37,6 +46,7 @@
 #ifndef PTAR_GRAPH_CH_QUERY_H_
 #define PTAR_GRAPH_CH_QUERY_H_
 
+#include <array>
 #include <cstdint>
 #include <span>
 #include <vector>
@@ -69,12 +79,20 @@ class CHQuery {
 
   /// Exact distances from `source` to every target. `out` must have
   /// targets.size() slots; unreachable targets report kInfDistance.
-  /// Duplicate targets are fine (each slot is filled).
+  /// Duplicate targets are fine (each slot is filled). Reuses the source's
+  /// recorded upward search and downward sweep when it is one of the two
+  /// most recent sources (see the file comment).
   void OneToMany(VertexId source, std::span<const VertexId> targets,
                  std::span<Distance> out);
 
+  /// Forgets every recorded per-source search; the next OneToMany from any
+  /// source searches afresh.
+  void ClearSourceCache();
+
   /// Vertices settled across both sides of the most recent query (work
-  /// measure; compare with DijkstraEngine::last_settled_count()).
+  /// measure; compare with DijkstraEngine::last_settled_count()). A
+  /// downward sweep finalizes every vertex and counts all of them; replayed
+  /// searches and reused sweeps count nothing.
   std::size_t last_settled_count() const { return last_settled_count_; }
 
   const CHGraph& ch() const { return *ch_; }
@@ -112,9 +130,25 @@ class CHQuery {
   /// the best meeting vertex (kInvalidVertex if none) and sets *best.
   VertexId RunBidirectional(VertexId s, VertexId t, Distance* best);
 
-  /// Runs the forward upward search from `source` to exhaustion, leaving
-  /// labels in fwd_.
-  void RunUpwardFrom(VertexId source);
+  /// What OneToMany keeps per recent source.
+  struct SourceSearch {
+    struct Label {
+      VertexId vertex;
+      Distance dist;
+    };
+    VertexId source = kInvalidVertex;
+    std::uint64_t last_use = 0;  ///< 0 = free slot.
+    /// The exhaustive upward search from `source`, in settle order.
+    std::vector<Label> upward;
+    /// Final distances from `source` indexed by sweep position (descending
+    /// rank); empty until a large batch from `source` runs the sweep.
+    std::vector<Distance> sweep_dist;
+  };
+  static constexpr std::size_t kSourceSlots = 2;
+
+  /// The slot recording `source`'s upward search: found, or built in the
+  /// least-recently-used slot.
+  SourceSearch& SearchFrom(VertexId source);
 
   void BucketOneToMany(VertexId source, std::span<const VertexId> targets,
                        std::span<Distance> out);
@@ -140,10 +174,8 @@ class CHQuery {
   std::uint32_t bucket_run_ = 0;
   std::vector<BucketEntry> bucket_entries_;
 
-  /// Downward-sweep scratch, indexed by sweep position (descending rank):
-  /// every slot is overwritten on each sweep, so it needs no stamps or
-  /// clearing.
-  std::vector<Distance> sweep_dist_;
+  std::array<SourceSearch, kSourceSlots> sources_;
+  std::uint64_t source_clock_ = 0;
 };
 
 }  // namespace ptar

@@ -11,7 +11,6 @@ DijkstraEngine::DijkstraEngine(const RoadNetwork* graph) : graph_(graph) {
   parent_.assign(n, kInvalidVertex);
   label_.assign(n, 0);
   settled_.assign(n, 0);
-  is_target_.assign(n, 0);
   stamp_.assign(n, 0);
   target_stamp_.assign(n, 0);
 }
@@ -21,10 +20,19 @@ void DijkstraEngine::BeginRun() {
   if (run_stamp_ == 0) {
     // Stamp wrapped around: hard-reset so stale entries cannot alias.
     std::fill(stamp_.begin(), stamp_.end(), 0);
-    std::fill(target_stamp_.begin(), target_stamp_.end(), 0);
     run_stamp_ = 1;
   }
   heap_.clear();
+  unrelaxed_ = kInvalidVertex;
+  BeginTargetSegment();
+}
+
+void DijkstraEngine::BeginTargetSegment() {
+  ++target_stamp_run_;
+  if (target_stamp_run_ == 0) {
+    std::fill(target_stamp_.begin(), target_stamp_.end(), 0);
+    target_stamp_run_ = 1;
+  }
   targets_remaining_ = 0;
   last_settled_count_ = 0;
 }
@@ -41,7 +49,33 @@ void DijkstraEngine::Seed(VertexId v, Distance dist, std::uint32_t label) {
   std::push_heap(heap_.begin(), heap_.end(), std::greater<>());
 }
 
+void DijkstraEngine::Relax(VertexId u) {
+  const Distance du = dist_[u];
+  for (const Arc& arc : graph_->OutArcs(u)) {
+    const VertexId v = arc.head;
+    const Distance nd = du + arc.weight;
+    if (stamp_[v] != run_stamp_ || nd < dist_[v]) {
+      if (stamp_[v] != run_stamp_) {
+        stamp_[v] = run_stamp_;
+        settled_[v] = 0;
+      }
+      dist_[v] = nd;
+      parent_[v] = u;
+      label_[v] = label_[u];
+      heap_.push_back(QueueEntry{nd, v});
+      std::push_heap(heap_.begin(), heap_.end(), std::greater<>());
+    }
+  }
+}
+
 void DijkstraEngine::Run(VertexId stop_vertex, Distance radius) {
+  if (unrelaxed_ != kInvalidVertex) {
+    // Resuming: finish the settlement the previous segment stopped at, so
+    // the heap is exactly where an uninterrupted run would have it.
+    const VertexId u = unrelaxed_;
+    unrelaxed_ = kInvalidVertex;
+    Relax(u);
+  }
   while (!heap_.empty()) {
     std::pop_heap(heap_.begin(), heap_.end(), std::greater<>());
     const QueueEntry top = heap_.back();
@@ -52,26 +86,18 @@ void DijkstraEngine::Run(VertexId stop_vertex, Distance radius) {
     if (top.dist > radius) return;
     settled_[u] = 1;
     ++last_settled_count_;
-    if (target_stamp_[u] == run_stamp_ && is_target_[u]) {
-      is_target_[u] = 0;
-      if (--targets_remaining_ == 0 && stop_vertex == kInvalidVertex) return;
-    }
-    if (u == stop_vertex) return;
-    for (const Arc& arc : graph_->OutArcs(u)) {
-      const VertexId v = arc.head;
-      const Distance nd = top.dist + arc.weight;
-      if (stamp_[v] != run_stamp_ || nd < dist_[v]) {
-        if (stamp_[v] != run_stamp_) {
-          stamp_[v] = run_stamp_;
-          settled_[v] = 0;
-        }
-        dist_[v] = nd;
-        parent_[v] = u;
-        label_[v] = label_[u];
-        heap_.push_back(QueueEntry{nd, v});
-        std::push_heap(heap_.begin(), heap_.end(), std::greater<>());
+    if (target_stamp_[u] == target_stamp_run_) {
+      target_stamp_[u] = 0;
+      if (--targets_remaining_ == 0 && stop_vertex == kInvalidVertex) {
+        unrelaxed_ = u;
+        return;
       }
     }
+    if (u == stop_vertex) {
+      unrelaxed_ = u;
+      return;
+    }
+    Relax(u);
   }
 }
 
@@ -98,19 +124,24 @@ void DijkstraEngine::SingleSource(VertexId s) {
 
 void DijkstraEngine::SingleSourceToTargets(VertexId s,
                                            std::span<const VertexId> targets) {
+  BeginResumable(s);
+  ResumeToTargets(targets);
+}
+
+void DijkstraEngine::BeginResumable(VertexId s) {
   BeginRun();
+  Seed(s, 0.0, 0);
+}
+
+void DijkstraEngine::ResumeToTargets(std::span<const VertexId> targets) {
+  BeginTargetSegment();
   for (VertexId t : targets) {
     PTAR_DCHECK(graph_->IsValidVertex(t));
-    if (target_stamp_[t] != run_stamp_ || !is_target_[t]) {
-      target_stamp_[t] = run_stamp_;
-      is_target_[t] = 1;
-      ++targets_remaining_;
-    }
+    if (Settled(t) || target_stamp_[t] == target_stamp_run_) continue;
+    target_stamp_[t] = target_stamp_run_;
+    ++targets_remaining_;
   }
-  Seed(s, 0.0, 0);
-  if (targets_remaining_ > 0) {
-    Run(kInvalidVertex, kInfDistance);
-  }
+  if (targets_remaining_ > 0) Run(kInvalidVertex, kInfDistance);
 }
 
 void DijkstraEngine::BoundedSingleSource(VertexId s, Distance radius) {

@@ -4,6 +4,12 @@
 // label) and reuses them across runs via version stamps, so repeated queries
 // do not pay O(|V|) re-initialization. All variants compute exact
 // shortest-path distances; there is no approximation anywhere in this layer.
+//
+// A single-source run can be resumed: BeginResumable(s) seeds it and each
+// ResumeToTargets(targets) continues the same heap until those targets are
+// settled. Every segment performs exactly the heap operations a fresh run
+// from s would perform up to the same point, so resumed distances are
+// bit-identical to a fresh SingleSourceToTargets (and to PointToPoint).
 
 #ifndef PTAR_GRAPH_DIJKSTRA_H_
 #define PTAR_GRAPH_DIJKSTRA_H_
@@ -46,8 +52,19 @@ class DijkstraEngine {
   void SingleSource(VertexId s);
 
   /// Single-source run that stops once every target is settled. Unreached
-  /// targets (disconnected) report kInfDistance.
+  /// targets (disconnected) report kInfDistance. This is the first segment
+  /// of a resumable run: BeginResumable(s) + ResumeToTargets(targets).
   void SingleSourceToTargets(VertexId s, std::span<const VertexId> targets);
+
+  /// Starts a resumable single-source run from s without settling anything.
+  void BeginResumable(VertexId s);
+
+  /// Continues the current single-source run until every target is settled
+  /// (or the source's component is exhausted). Targets settled by earlier
+  /// segments cost nothing. last_settled_count() reports this segment only.
+  /// Valid only after BeginResumable/SingleSourceToTargets with no other
+  /// run in between.
+  void ResumeToTargets(std::span<const VertexId> targets);
 
   /// Single-source run that only settles vertices within `radius` of s.
   void BoundedSingleSource(VertexId s, Distance radius);
@@ -81,7 +98,8 @@ class DijkstraEngine {
   /// Returns an empty vector if t was not reached.
   std::vector<VertexId> PathTo(VertexId t) const;
 
-  /// Number of vertices settled by the most recent run (work measure).
+  /// Number of vertices settled by the most recent run or resumed segment
+  /// (work measure).
   std::size_t last_settled_count() const { return last_settled_count_; }
 
   const RoadNetwork& graph() const { return *graph_; }
@@ -95,10 +113,18 @@ class DijkstraEngine {
     }
   };
 
+  /// Starts a new run: fresh stamps, empty heap, new target segment.
   void BeginRun();
+  /// Starts a new target segment within the current run: no vertex is a
+  /// pending target and the settled count restarts at 0.
+  void BeginTargetSegment();
   void Seed(VertexId v, Distance dist, std::uint32_t label);
+  /// Relaxes the out-arcs of the settled vertex u.
+  void Relax(VertexId u);
   /// Core loop. Stops when `stop_vertex` is settled (if valid), when the
-  /// frontier exceeds `radius`, or when `targets_remaining` hits zero.
+  /// frontier exceeds `radius`, or when `targets_remaining` hits zero. A
+  /// vertex it stops at is settled but not yet relaxed; the next Run of the
+  /// same run relaxes it first.
   void Run(VertexId stop_vertex, Distance radius);
 
   const RoadNetwork* graph_;
@@ -106,11 +132,16 @@ class DijkstraEngine {
   std::vector<VertexId> parent_;
   std::vector<std::uint32_t> label_;
   std::vector<std::uint8_t> settled_;
-  std::vector<std::uint8_t> is_target_;
   std::vector<std::uint32_t> stamp_;
+  /// target_stamp_[v] == target_stamp_run_ marks v as an unsettled target of
+  /// the current segment; settling it resets the slot to 0.
   std::vector<std::uint32_t> target_stamp_;
   std::uint32_t run_stamp_ = 0;
+  std::uint32_t target_stamp_run_ = 0;
   std::size_t targets_remaining_ = 0;
+  /// Settled vertex whose arcs the last Run left unrelaxed, or
+  /// kInvalidVertex.
+  VertexId unrelaxed_ = kInvalidVertex;
   std::size_t last_settled_count_ = 0;
   std::vector<QueueEntry> heap_;
 };

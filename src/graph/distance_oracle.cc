@@ -55,19 +55,47 @@ void DistanceOracle::ApplyFaultHookToSweep(VertexId source) {
   }
 }
 
+DijkstraEngine& DistanceOracle::SweepEngineFrom(VertexId source) {
+  ++sweep_clock_;
+  ResumableSweep* lru = &sweeps_[0];
+  for (ResumableSweep& slot : sweeps_) {
+    if (slot.source == source && slot.last_use != 0) {
+      slot.last_use = sweep_clock_;
+      return *slot.engine;
+    }
+    if (slot.last_use < lru->last_use) lru = &slot;
+  }
+  if (lru->engine == nullptr) {
+    lru->engine = std::make_unique<DijkstraEngine>(graph_);
+  }
+  lru->source = source;
+  lru->last_use = sweep_clock_;
+  lru->engine->BeginResumable(source);
+  return *lru->engine;
+}
+
 void DistanceOracle::ComputeSweep(VertexId source) {
   sweep_dists_.assign(sweep_targets_.size(), kInfDistance);
   if (ch_query_ != nullptr) {
     ch_query_->OneToMany(source, sweep_targets_,
                          std::span<Distance>(sweep_dists_));
-    ApplyFaultHookToSweep(source);
-    return;
-  }
-  engine_.SingleSourceToTargets(source, sweep_targets_);
-  for (std::size_t i = 0; i < sweep_targets_.size(); ++i) {
-    sweep_dists_[i] = engine_.Dist(sweep_targets_[i]);
+    batch_stats_.settled += ch_query_->last_settled_count();
+  } else {
+    DijkstraEngine& engine = SweepEngineFrom(source);
+    engine.ResumeToTargets(sweep_targets_);
+    batch_stats_.settled += engine.last_settled_count();
+    for (std::size_t i = 0; i < sweep_targets_.size(); ++i) {
+      sweep_dists_[i] = engine.Dist(sweep_targets_[i]);
+    }
   }
   ApplyFaultHookToSweep(source);
+}
+
+void DistanceOracle::ClearCache() {
+  cache_.clear();
+  warm_.clear();
+  for (ResumableSweep& slot : sweeps_) slot.last_use = 0;
+  if (ch_query_ != nullptr) ch_query_->ClearSourceCache();
 }
 
 Distance DistanceOracle::Dist(VertexId a, VertexId b) {

@@ -8,16 +8,29 @@
 // clear it per request.
 //
 // Two interchangeable exact backends sit below the cache:
-//  - kDijkstra (default): plain Dijkstra sweeps (DijkstraEngine), one
-//    one-to-many sweep per batch.
+//  - kDijkstra (default): plain Dijkstra sweeps (DijkstraEngine). A batch
+//    from a source the oracle swept recently resumes that source's search
+//    instead of restarting it.
 //  - kCH: contraction-hierarchy queries (CHQuery over a shared prebuilt
 //    CHGraph) — bidirectional point-to-point; one-to-many via buckets for
-//    small batches or a PHAST-style downward sweep for large ones.
+//    small batches or a PHAST-style downward sweep for large ones, reusing
+//    a recent source's upward search and downward sweep.
 // Both are exact; compdist accounting and BatchStats semantics are
 // backend-independent. Values may differ between backends in the low bits
 // (floating-point sums associate differently along shortcuts), which is
 // inside the tolerance every cross-implementation comparison in this
 // codebase already applies.
+//
+// Resumable per-source state: a matcher's batches come from two sources,
+// request.start and request.destination, one cell batch at a time. The
+// oracle therefore keeps the one-to-many search state of its two most
+// recently used sources (least-recently-used replaced): on kDijkstra a
+// paused DijkstraEngine run per source, on kCH the CHQuery's recorded
+// upward search and downward-sweep array. The state is scoped to one cache
+// epoch: ClearCache() drops it. It changes only how much a sweep costs,
+// never a value, a compdist, or a BatchStats count other than `settled`:
+// a resumed search performs the same heap operations (Dijkstra) or the same
+// label sums (CH) that a fresh one would.
 //
 // Bit-determinism contract: within one cache epoch (between ClearCache
 // calls) every query for a pair returns the exact same double, because the
@@ -50,6 +63,7 @@
 #ifndef PTAR_GRAPH_DISTANCE_ORACLE_H_
 #define PTAR_GRAPH_DISTANCE_ORACLE_H_
 
+#include <array>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -148,17 +162,16 @@ class DistanceOracle {
   /// Matchers use a nonzero count to tag their result `complete = false`.
   std::uint64_t faults() const { return faults_; }
 
-  /// Batching instrumentation (sweeps run, pairs per sweep, warm hits).
+  /// Batching instrumentation (sweeps run, pairs per sweep, warm hits,
+  /// vertices settled).
   const BatchStats& batch_stats() const { return batch_stats_; }
   void ResetBatchStats() { batch_stats_ = BatchStats{}; }
 
-  /// Drops all memoized pairs (typically between requests) but keeps the
-  /// tables' bucket capacity, so steady-state request processing does not
-  /// rehash every request.
-  void ClearCache() {
-    cache_.clear();
-    warm_.clear();
-  }
+  /// Drops all memoized pairs and the per-source search state (typically
+  /// between requests) but keeps the tables' bucket capacity and the search
+  /// workspaces, so steady-state request processing neither rehashes nor
+  /// reallocates every request.
+  void ClearCache();
   std::size_t cache_size() const { return cache_.size(); }
   std::size_t cache_bucket_count() const { return cache_.bucket_count(); }
 
@@ -185,13 +198,26 @@ class DistanceOracle {
   /// results land in `sweep_dists_` (same order).
   void ComputeSweep(VertexId source);
 
+  /// kDijkstra: the engine whose paused run starts at `source` — found, or
+  /// started in the least-recently-used slot.
+  DijkstraEngine& SweepEngineFrom(VertexId source);
+
   /// Consults the fault hook for every sweep target, overriding failed
   /// targets in `sweep_dists_` with kInfDistance.
   void ApplyFaultHookToSweep(VertexId source);
 
   const RoadNetwork* graph_;
   const CHGraph* ch_;
+  /// Point-to-point and path queries on kDijkstra.
   DijkstraEngine engine_;
+  /// kDijkstra one-to-many: a resumable run per recent source.
+  struct ResumableSweep {
+    VertexId source = kInvalidVertex;
+    std::uint64_t last_use = 0;  ///< 0 = free slot.
+    std::unique_ptr<DijkstraEngine> engine;  ///< Allocated on first use.
+  };
+  std::array<ResumableSweep, 2> sweeps_;
+  std::uint64_t sweep_clock_ = 0;
   /// Per-oracle CH workspace (null on the Dijkstra backend); the CHGraph
   /// itself is shared and immutable, so concurrent oracles never contend.
   std::unique_ptr<CHQuery> ch_query_;

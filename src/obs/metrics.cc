@@ -119,6 +119,7 @@ void MetricsRegistry::MergeBatchStats(std::string_view prefix,
   counters_[base + "/pairs_from_cache"] += stats.pairs_from_cache;
   counters_[base + "/pairs_swept"] += stats.pairs_swept;
   counters_[base + "/warm_hits"] += stats.warm_hits;
+  counters_[base + "/settled"] += stats.settled;
 }
 
 void MetricsRegistry::MergeFrom(const MetricsRegistry& other) {

@@ -530,7 +530,9 @@ void PrefetchBatchDistances(const RequestEnv& env, MatchContext& ctx,
   if (empty_candidates.empty() && nonempty_candidates.empty()) return;
   // Counted BatchDist pairs are work the serial path would also perform;
   // WarmFrom sweeps are uncounted here and charged on promotion, exactly
-  // mirroring the compdists accounting.
+  // mirroring the compdists accounting. Each call resumes the searches from
+  // request.start and request.destination that earlier batches of this
+  // request paused, so a batch only settles what lies beyond them.
   obs::TraceSpan span("prefetch");
   span.AddArg("empty", static_cast<std::int64_t>(empty_candidates.size()));
   span.AddArg("nonempty",

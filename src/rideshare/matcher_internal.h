@@ -142,6 +142,12 @@ void CollectSchedulePoints(const KineticTree& tree,
 /// when Dist() actually promotes them — the same moment an unbatched run
 /// would have computed them.
 ///
+/// SSA and DSA call this once per cell batch, so a request issues about a
+/// dozen batches from the same two sources. The oracle keeps each source's
+/// search paused between batches and resumes it, so the whole request pays
+/// for about one search per endpoint rather than one per batch; values and
+/// counts are those of fresh sweeps (see distance_oracle.h).
+///
 /// Every matcher must issue the same prefetch shape so that each
 /// distance pair is first computed in the same sweep direction everywhere;
 /// that keeps option values bit-identical across BA / SSA / DSA, which the

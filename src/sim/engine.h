@@ -254,6 +254,12 @@ class Engine {
   /// Sum of the fleet's kinetic-tree memory (Table IV's second row).
   std::size_t KineticTreeMemoryBytes() const;
 
+  /// Pairs memoized by the maintenance oracle. It is cleared at the start
+  /// of every wave, so this stays bounded by one wave's bookkeeping.
+  std::size_t maintenance_cache_pairs() const {
+    return maintenance_oracle_.cache_size();
+  }
+
   /// Current degradation level (kFull unless overload control is enabled
   /// and the ladder has moved).
   DegradeLevel degrade_level() const { return overload_.level(); }
@@ -465,7 +471,8 @@ class Engine {
   /// before the oracles, which capture a pointer to it at construction.
   std::unique_ptr<CHGraph> ch_graph_;
   DistanceOracle match_oracle_;        ///< Counted, cleared per request.
-  DistanceOracle maintenance_oracle_;  ///< Engine bookkeeping, uncounted.
+  /// Engine bookkeeping, uncounted; cleared per wave.
+  DistanceOracle maintenance_oracle_;
   /// Per-matcher oracles for slots >= 1 (slot 0 keeps match_oracle_).
   std::vector<std::unique_ptr<DistanceOracle>> matcher_oracles_;
   /// Re-invoked for every oracle that matching may touch (see

@@ -205,6 +205,9 @@ void Engine::RunWave(std::span<const Request> wave, WaveRun& run) {
   // One wave per lock hold: outside threads (AuditFleet) observe the world
   // only at wave boundaries — the quiesced epoch.
   std::lock_guard<std::mutex> quiesced(quiesce_mu_);
+  // The maintenance memo is a per-wave cache: without this clear it would
+  // grow by every pair the engine's bookkeeping ever asked for.
+  maintenance_oracle_.ClearCache();
   obs::TraceSpan wave_span(run.pipelined ? "wave" : "request");
   wave_span.AddArg("wave", static_cast<std::int64_t>(run.stats.waves));
   Timer wave_timer;

@@ -10,7 +10,9 @@
 // Parity between CH point-to-point and CH one-to-many is exact (==): both
 // minimize over the same per-side label functions.
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <memory>
 #include <vector>
 
@@ -195,6 +197,78 @@ TEST(CHQueryTest, OneToManyParityBothGenerators) {
   ExpectOneToManyParity(ring.value(), 18);
 
   ExpectOneToManyParity(testing::MakeRandomConnectedGraph(90, 150, 19), 19);
+}
+
+/// One query answers a stream of batches from alternating sources (the
+/// matcher pattern: request start and destination), with a third source
+/// now and then to force least-recently-used replacement, and PointToPoint
+/// and Path calls in between that reuse the bidirectional workspace. Every
+/// batch must equal, bit for bit, a fresh CHQuery's answer.
+void ExpectMemoizedOneToManyMatchesFresh(const RoadNetwork& g,
+                                         std::uint64_t seed) {
+  const CHGraph ch = BuildCH(g);
+  CHQuery memo(&ch);
+  const std::vector<VertexId> ends =
+      SampleVertices(g, 3, testing::DeriveSeed(seed, 3));
+  Rng rng(testing::DeriveSeed(seed, 4));
+  for (int step = 0; step < 40; ++step) {
+    SCOPED_TRACE("step " + std::to_string(step));
+    if (step == 20) memo.ClearSourceCache();
+    const VertexId source =
+        rng.UniformIndex(6) == 0 ? ends[2] : ends[step % 2];
+    // Both strategies: bucket batches (<= kBucketBatchLimit) and sweeps.
+    const std::size_t size = rng.UniformIndex(2) == 0
+                                 ? 1 + rng.UniformIndex(
+                                           CHQuery::kBucketBatchLimit)
+                                 : CHQuery::kBucketBatchLimit + 1 +
+                                       rng.UniformIndex(20);
+    std::vector<VertexId> batch = SampleVertices(
+        g, size, testing::DeriveSeed(seed, 100 + step));
+    if (step % 5 == 0) batch.push_back(source);
+    std::vector<Distance> got(batch.size(), -1.0);
+    memo.OneToMany(source, batch, got);
+    CHQuery fresh(&ch);
+    std::vector<Distance> want(batch.size(), -1.0);
+    fresh.OneToMany(source, batch, want);
+    for (std::size_t i = 0; i < batch.size(); ++i) {
+      ASSERT_EQ(std::bit_cast<std::uint64_t>(got[i]),
+                std::bit_cast<std::uint64_t>(want[i]))
+          << "source " << source << " target " << batch[i];
+    }
+    const VertexId other = batch.front();
+    if (step % 3 == 0) {
+      EXPECT_EQ(memo.PointToPoint(other, source),
+                fresh.PointToPoint(other, source));
+    } else if (step % 3 == 1) {
+      Distance memo_d = 0.0;
+      Distance fresh_d = 0.0;
+      EXPECT_EQ(memo.Path(source, other, &memo_d),
+                fresh.Path(source, other, &fresh_d));
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(memo_d),
+                std::bit_cast<std::uint64_t>(fresh_d));
+    }
+  }
+}
+
+TEST(CHQueryTest, MemoizedOneToManyMatchesFreshQueryBitwise) {
+  for (std::uint64_t seed = 0; seed < 6; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    GridCityOptions gopts;
+    gopts.rows = 14;
+    gopts.cols = 14;
+    gopts.seed = seed;
+    auto grid = MakeGridCity(gopts);
+    ASSERT_TRUE(grid.ok());
+    ExpectMemoizedOneToManyMatchesFresh(grid.value(), seed);
+
+    RingRadialCityOptions ropts;
+    ropts.rings = 7;
+    ropts.spokes = 14;
+    ropts.seed = seed;
+    auto ring = MakeRingRadialCity(ropts);
+    ASSERT_TRUE(ring.ok());
+    ExpectMemoizedOneToManyMatchesFresh(ring.value(), seed);
+  }
 }
 
 TEST(CHQueryTest, PathUnpacksToOriginalEdges) {

@@ -3,8 +3,14 @@
 
 #include "graph/dijkstra.h"
 
+#include <bit>
+#include <cstdint>
+#include <string>
+#include <vector>
+
 #include <gtest/gtest.h>
 
+#include "graph/generators.h"
 #include "tests/test_util.h"
 
 namespace ptar {
@@ -266,6 +272,169 @@ TEST(DijkstraTest, ParallelEdgesUseTheCheapest) {
   ASSERT_TRUE(g.ok());
   DijkstraEngine engine(&*g);
   EXPECT_DOUBLE_EQ(engine.PointToPoint(0, 1), 3.0);
+}
+
+// --- Resumable runs: every segment bit-identical to a fresh run. ---
+
+std::uint64_t Bits(Distance d) { return std::bit_cast<std::uint64_t>(d); }
+
+/// Resumes one run from `source` through `segments` and checks each
+/// segment's targets (distance bits, settledness, path) against a fresh
+/// SingleSourceToTargets on a second engine. Also checks that resuming does
+/// no repeated work: the segments together settle exactly what one fresh
+/// run to the union of their targets settles.
+void ExpectResumedMatchesFresh(
+    const RoadNetwork& g, VertexId source,
+    const std::vector<std::vector<VertexId>>& segments) {
+  DijkstraEngine resumed(&g);
+  DijkstraEngine fresh(&g);
+  resumed.BeginResumable(source);
+  std::size_t resumed_settled = 0;
+  std::vector<VertexId> all_targets;
+  for (std::size_t k = 0; k < segments.size(); ++k) {
+    SCOPED_TRACE("segment " + std::to_string(k));
+    resumed.ResumeToTargets(segments[k]);
+    resumed_settled += resumed.last_settled_count();
+    fresh.SingleSourceToTargets(source, segments[k]);
+    for (const VertexId t : segments[k]) {
+      ASSERT_EQ(Bits(resumed.Dist(t)), Bits(fresh.Dist(t))) << "t=" << t;
+      ASSERT_EQ(resumed.Settled(t), fresh.Settled(t)) << "t=" << t;
+      ASSERT_EQ(resumed.PathTo(t), fresh.PathTo(t)) << "t=" << t;
+    }
+    all_targets.insert(all_targets.end(), segments[k].begin(),
+                       segments[k].end());
+  }
+  fresh.SingleSourceToTargets(source, all_targets);
+  EXPECT_EQ(resumed_settled, fresh.last_settled_count());
+}
+
+/// About 13 small segments in the shape the matchers issue (cell batches
+/// from one request endpoint), salted with the edge cases a resume must
+/// handle: duplicates, the source itself, targets earlier segments already
+/// settled, and the previous segment's last-settled (unrelaxed) vertex and
+/// its neighbors.
+std::vector<std::vector<VertexId>> MakeSegments(const RoadNetwork& g,
+                                                VertexId source,
+                                                std::uint64_t seed) {
+  Rng rng(seed);
+  DijkstraEngine probe(&g);
+  const auto random_vertex = [&] {
+    return static_cast<VertexId>(rng.UniformIndex(g.num_vertices()));
+  };
+  std::vector<std::vector<VertexId>> segments;
+  for (int k = 0; k < 13; ++k) {
+    std::vector<VertexId> batch;
+    const std::size_t size = 1 + rng.UniformIndex(10);
+    for (std::size_t i = 0; i < size; ++i) batch.push_back(random_vertex());
+    if (rng.UniformIndex(3) == 0) batch.push_back(batch.front());
+    if (rng.UniformIndex(5) == 0) batch.push_back(source);
+    if (!segments.empty()) {
+      const std::vector<VertexId>& prev = segments.back();
+      if (rng.UniformIndex(2) == 0) {
+        batch.push_back(prev[rng.UniformIndex(prev.size())]);
+      }
+      // The previous segment stops at its farthest reachable target,
+      // settled but with its arcs not yet relaxed.
+      probe.SingleSourceToTargets(source, prev);
+      VertexId last = kInvalidVertex;
+      for (const VertexId t : prev) {
+        if (probe.Dist(t) == kInfDistance) continue;
+        if (last == kInvalidVertex || probe.Dist(t) > probe.Dist(last)) {
+          last = t;
+        }
+      }
+      if (last != kInvalidVertex && rng.UniformIndex(2) == 0) {
+        batch.push_back(last);
+        for (const Arc& arc : g.OutArcs(last)) batch.push_back(arc.head);
+      }
+    }
+    segments.push_back(std::move(batch));
+  }
+  return segments;
+}
+
+TEST(DijkstraResumeTest, GridCitySegmentsMatchFreshRuns) {
+  for (std::uint64_t seed = 0; seed < 60; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    GridCityOptions opts;
+    opts.rows = 12;
+    opts.cols = 12;
+    opts.seed = seed;
+    auto g = MakeGridCity(opts);
+    ASSERT_TRUE(g.ok());
+    Rng rng(testing::DeriveSeed(seed, 1));
+    const auto source =
+        static_cast<VertexId>(rng.UniformIndex(g->num_vertices()));
+    ExpectResumedMatchesFresh(*g, source,
+                              MakeSegments(*g, source, seed));
+  }
+}
+
+TEST(DijkstraResumeTest, RingRadialCitySegmentsMatchFreshRuns) {
+  for (std::uint64_t seed = 0; seed < 60; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    RingRadialCityOptions opts;
+    opts.rings = 6;
+    opts.spokes = 12;
+    opts.seed = seed;
+    auto g = MakeRingRadialCity(opts);
+    ASSERT_TRUE(g.ok());
+    Rng rng(testing::DeriveSeed(seed, 2));
+    const auto source =
+        static_cast<VertexId>(rng.UniformIndex(g->num_vertices()));
+    ExpectResumedMatchesFresh(*g, source,
+                              MakeSegments(*g, source, seed));
+  }
+}
+
+TEST(DijkstraResumeTest, DisconnectedGraphSegmentsMatchFreshRuns) {
+  // Two random components: a segment with targets in the other component
+  // drains the source's component, and later segments resume a finished
+  // run.
+  const RoadNetwork a = testing::MakeRandomConnectedGraph(30, 20, 41);
+  const RoadNetwork b = testing::MakeRandomConnectedGraph(12, 6, 42);
+  RoadNetwork::Builder builder;
+  for (const RoadNetwork* part : {&a, &b}) {
+    const auto base = static_cast<VertexId>(builder.num_vertices());
+    for (VertexId v = 0; v < part->num_vertices(); ++v) {
+      builder.AddVertex(part->position(v));
+    }
+    for (EdgeId e = 0; e < part->num_edges(); ++e) {
+      builder.AddEdge(base + part->EdgeU(e), base + part->EdgeV(e),
+                      part->EdgeWeight(e));
+    }
+  }
+  auto g = std::move(builder).Build();
+  ASSERT_TRUE(g.ok());
+  const VertexId source = 5;
+  const std::vector<std::vector<VertexId>> segments = {
+      {3, 7},         {31, 35, 3},  // 31.. lie in the other component
+      {12, 12, 40},   {source, 7},  {29, 28, 27, 1},
+      {33},           {0, 29}};
+  ExpectResumedMatchesFresh(*g, source, segments);
+  for (std::uint64_t seed = 0; seed < 20; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    ExpectResumedMatchesFresh(*g, source, MakeSegments(*g, source, seed));
+  }
+}
+
+TEST(DijkstraResumeTest, ResumeAfterDegenerateSegments) {
+  const RoadNetwork g = testing::MakeSmallGrid(100.0);
+  DijkstraEngine engine(&g);
+  engine.BeginResumable(0);
+  engine.ResumeToTargets({});
+  EXPECT_EQ(engine.last_settled_count(), 0u);
+  engine.ResumeToTargets(std::vector<VertexId>{0});
+  EXPECT_EQ(engine.last_settled_count(), 1u);
+  engine.ResumeToTargets(std::vector<VertexId>{0, 0});
+  EXPECT_EQ(engine.last_settled_count(), 0u);  // already settled
+  engine.ResumeToTargets(std::vector<VertexId>{8});
+  EXPECT_DOUBLE_EQ(engine.Dist(8), 400.0);
+  EXPECT_DOUBLE_EQ(engine.Dist(0), 0.0);
+  // A new run discards the paused one.
+  engine.SingleSourceToTargets(8, std::vector<VertexId>{6});
+  EXPECT_DOUBLE_EQ(engine.Dist(6), 200.0);
+  EXPECT_EQ(engine.Dist(0), kInfDistance);
 }
 
 // Property sweep: Dijkstra (all variants) vs. Floyd-Warshall on random

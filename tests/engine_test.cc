@@ -3,6 +3,8 @@
 
 #include "sim/engine.h"
 
+#include <algorithm>
+
 #include <gtest/gtest.h>
 
 #include "rideshare/baseline_matcher.h"
@@ -227,6 +229,34 @@ TEST(EngineTest, KineticMemoryTracksLoad) {
   engine.Run(requests, matchers);
   EXPECT_GT(engine.KineticTreeMemoryBytes(), 0u);
   EXPECT_GE(engine.KineticTreeMemoryBytes(), before);
+}
+
+TEST(EngineTest, MaintenanceCacheStaysBoundedOverLongStream) {
+  // The engine's bookkeeping oracle memoizes every pair it is asked (route
+  // paths, commit-time insertion distances). It is a per-wave cache: over a
+  // long stream its size must track one wave's work, not the stream length.
+  GridWorld w = MakeWorld();
+  EngineOptions opts;
+  opts.num_vehicles = 30;
+  Engine engine(w.graph.get(), w.grid.get(), opts);
+  SsaMatcher ssa;
+  std::vector<Matcher*> matchers = {&ssa};
+  testing::RequestStreamOptions ropts;
+  ropts.num_requests = 600;
+  ropts.duration_seconds = 3600.0;
+  ropts.seed = 21;
+  const std::vector<Request> requests =
+      testing::MakeRequestStream(*w.graph, ropts);
+  std::size_t served = 0;
+  std::size_t max_pairs = 0;
+  for (const Request& request : requests) {
+    served += engine.ProcessRequest(request, matchers).served ? 1 : 0;
+    max_pairs = std::max(max_pairs, engine.maintenance_cache_pairs());
+  }
+  // Enough commits that an unbounded memo (about a dozen pairs per commit)
+  // would be in the thousands.
+  ASSERT_GT(served, 300u);
+  EXPECT_LT(max_pairs, 200u) << "served " << served;
 }
 
 }  // namespace
