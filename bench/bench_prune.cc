@@ -1,15 +1,16 @@
 // GeoPrune effectiveness bench: verified-vehicles-per-request with and
-// without the ellipse prefilter across fleet sizes, plus the standalone
-// ELLIPSE matcher for ablation. Writes BENCH_prune.json.
+// without the ellipse prefilter across fleet sizes, plus a pruned
+// full-fleet scan (BA+EL) for ablation. Writes BENCH_prune.json; every row
+// label is unique (the SSA rows carry their verified-cell fraction).
 //
 // Self-enforced bars (exit 1 on violation, deterministic inputs):
-//   - every full-coverage pruned matcher (SSA(1.0)+EL, ELLIPSE) keeps
+//   - every full-coverage pruned matcher (SSA(f=1.0)+EL, BA+EL) keeps
 //     recall exactly 1.0 at every scale — the prefilter is lossless;
 //   - the production partial-coverage pair has *identical* recall with and
 //     without the prefilter (partial search misses options by design; the
 //     prefilter must not change which ones);
-//   - at the 10k-vehicle point, SSA(1.0)+EL verifies at least 3x fewer
-//     vehicles per request than the grid-lower-bound SSA(1.0) baseline.
+//   - at the 10k-vehicle point, SSA(f=1.0)+EL verifies at least 3x fewer
+//     vehicles per request than the grid-lower-bound SSA(f=1.0) baseline.
 
 #include <cmath>
 #include <cstdio>
@@ -19,7 +20,7 @@
 
 #include "bench/harness.h"
 #include "rideshare/baseline_matcher.h"
-#include "rideshare/ellipse_matcher.h"
+#include "rideshare/pruned_matcher.h"
 #include "rideshare/ssa_matcher.h"
 
 int main(int argc, char** argv) {
@@ -45,10 +46,17 @@ int main(int argc, char** argv) {
   constexpr std::size_t kFullEl = 2;      // SSA(1.0)+EL: pruned twin
   constexpr std::size_t kPartial = 3;     // SSA(0.16): production fraction
   constexpr std::size_t kPartialEl = 4;   // SSA(0.16)+EL
-  constexpr std::size_t kEllipse = 5;     // BA+EL ablation matcher
+  constexpr std::size_t kBaEl = 5;        // BA+EL ablation matcher
+  // Row labels in the report: the two SSA fractions would otherwise share
+  // the matcher names "SSA" and "SSA+EL".
+  char part[32];
+  std::snprintf(part, sizeof(part), "SSA(f=%g)", base.verified_grid_fraction);
+  const std::vector<std::string> labels = {
+      "BA", "SSA(f=1.0)", "SSA(f=1.0)+EL", part, std::string(part) + "+EL",
+      "BA+EL"};
 
   std::vector<BenchRow> rows;
-  std::printf("%-18s %-12s %12s %10s %12s %8s\n", "vehicles", "matcher",
+  std::printf("%-18s %-16s %12s %10s %12s %8s\n", "vehicles", "matcher",
               "time(ms)", "verified", "compdists", "recall");
   bool ok = true;
   for (const Scale& scale : scales) {
@@ -62,23 +70,26 @@ int main(int argc, char** argv) {
     SsaMatcher ssa_part(base.verified_grid_fraction);
     PrunedMatcher ssa_part_el(
         std::make_unique<SsaMatcher>(base.verified_grid_fraction));
-    EllipseMatcher ellipse;
+    PrunedMatcher ba_el(std::make_unique<BaselineMatcher>());
     std::vector<Matcher*> matchers = {&ba,       &ssa_full, &ssa_full_el,
-                                      &ssa_part, &ssa_part_el, &ellipse};
+                                      &ssa_part, &ssa_part_el, &ba_el};
 
     const std::string label = "vehicles=" + std::to_string(scale.num_vehicles);
     rows.push_back(harness.RunWith(cfg, label, matchers));
+    for (std::size_t m = 0; m < labels.size(); ++m) {
+      rows.back().stats.matchers[m].name = labels[m];
+    }
     const BenchRow& row = rows.back();
     for (std::size_t m = 0; m < row.stats.matchers.size(); ++m) {
       const MatcherAggregate& agg = row.stats.matchers[m];
-      std::printf("%-18s %-12s %12.3f %10.1f %12.1f %8.4f\n",
+      std::printf("%-18s %-16s %12.3f %10.1f %12.1f %8.4f\n",
                   (m == 0 ? label.c_str() : ""), agg.name.c_str(),
                   agg.MeanMillis(), agg.MeanVerified(), agg.MeanCompdists(),
                   agg.MeanRecall());
     }
 
     // Bar 1: full-coverage pruned matchers are lossless.
-    for (const std::size_t m : {kFullEl, kEllipse}) {
+    for (const std::size_t m : {kFullEl, kBaEl}) {
       const MatcherAggregate& agg = row.stats.matchers[m];
       if (agg.MeanRecall() < 1.0) {
         std::fprintf(stderr,

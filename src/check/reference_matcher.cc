@@ -4,6 +4,7 @@
 #include <utility>
 #include <vector>
 
+#include "check/schedule_oracle.h"
 #include "common/timer.h"
 #include "kinetic/kinetic_tree.h"
 #include "kinetic/schedule.h"
@@ -19,12 +20,17 @@ void EnumerateVehicleOptions(const KineticTree& tree, const Request& request,
                              std::vector<Option>* out) {
   const Distance base_total = tree.CurrentTotal();
 
+  // Candidates are judged by the oracle's own Definition-2 rule, not the
+  // tree's validator. The new request's waiting constraint is trivially
+  // satisfied at creation (planned == actual pickup), matching the
+  // production enumerator.
+  VehicleState state{tree.location(), tree.odometer(), tree.onboard(),
+                     tree.capacity(), tree.assigned()};
   AssignedRequest extra;
   extra.request = request;
   extra.direct_dist = direct;
-  // The new request's waiting constraint is trivially satisfied at creation
-  // (planned == actual pickup), matching the production enumerator.
   extra.deadline_odometer = kInfDistance;
+  state.assigned.push_back(extra);
 
   const Stop s_stop{StopType::kPickup, request.id, request.start};
   const Stop d_stop{StopType::kDropoff, request.id, request.destination};
@@ -60,7 +66,7 @@ void EnumerateVehicleOptions(const KineticTree& tree, const Request& request,
           prev = stop.location;
         }
         if (!reachable) continue;
-        if (!tree.IsValidSchedule(candidate, &extra)) continue;
+        if (!Feasible(state, candidate)) continue;
 
         Option option;
         option.vehicle = tree.vehicle();

@@ -7,9 +7,13 @@
 // branch itself, splices the stop sequences itself, recomputes *all* legs
 // through plain oracle distances (no splicing of cached branch legs, no
 // grid lower bounds, no lemma pruning), and keeps the non-dominated set via
-// a naive quadratic end-filter instead of the incremental SkylineSet. The
-// only production code it reuses is KineticTree::IsValidSchedule — the
-// authoritative Definition-2 validator that tests exercise directly.
+// a naive quadratic end-filter instead of the incremental SkylineSet.
+// Validity comes from the schedule oracle's Feasible (check/
+// schedule_oracle.h), written from the paper's constraints rather than
+// shared with KineticTree::IsValidSchedule. Branches still come from
+// KineticTree::Schedules(): the harness pins a branch cap, so the matchers
+// under test insert into a capped branch set and the reference must insert
+// into the same one.
 
 #ifndef PTAR_CHECK_REFERENCE_MATCHER_H_
 #define PTAR_CHECK_REFERENCE_MATCHER_H_

@@ -2,579 +2,17 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdint>
-#include <map>
 #include <memory>
-#include <set>
 #include <sstream>
-#include <tuple>
-#include <utility>
 
 #include "check/scenario.h"
 #include "common/logging.h"
 #include "graph/ch_graph.h"
 #include "graph/ch_preprocessor.h"
 #include "graph/dijkstra.h"
-#include "graph/distance_oracle.h"
 #include "kinetic/tree_auditor.h"
 
 namespace ptar::check {
-
-namespace {
-
-/// Numeric slack for floating-point distance comparisons (matches the
-/// production tree's tolerance).
-constexpr Distance kDistTolerance = 1e-6;
-
-/// Deterministic branch order: shorter total first, ties by stop sequence.
-bool BranchLess(const Schedule& a, const Schedule& b) {
-  const Distance ta = a.total();
-  const Distance tb = b.total();
-  if (ta != tb) return ta < tb;
-  const std::size_t n = std::min(a.stops.size(), b.stops.size());
-  for (std::size_t i = 0; i < n; ++i) {
-    const Stop& x = a.stops[i];
-    const Stop& y = b.stops[i];
-    if (x.request != y.request) return x.request < y.request;
-    if (x.type != y.type) return x.type < y.type;
-    if (x.location != y.location) return x.location < y.location;
-  }
-  return a.stops.size() < b.stops.size();
-}
-
-}  // namespace
-
-// ---------------------------------------------------------------------------
-// LegacyKineticTree — verbatim port of the pre-arena implementation. Changes
-// are limited to the class name, the unlimited default cap, and the honest
-// MemoryBytes accounting; all behavior-bearing code is unmodified so the
-// twin compares against exactly what shipped before the overhaul.
-// ---------------------------------------------------------------------------
-
-LegacyKineticTree::LegacyKineticTree(VehicleId vehicle, VertexId location,
-                                     int capacity, std::size_t max_branches)
-    : vehicle_(vehicle),
-      location_(location),
-      capacity_(capacity),
-      max_branches_(max_branches) {
-  PTAR_CHECK(capacity >= 1);
-  PTAR_CHECK(max_branches >= 1);
-  schedules_.push_back(Schedule{});  // the idle (empty) schedule
-}
-
-VertexId LegacyKineticTree::NextStopLocation() const {
-  const Schedule& active = ActiveSchedule();
-  return active.stops.empty() ? kInvalidVertex : active.stops[0].location;
-}
-
-void LegacyKineticTree::RecomputeActive() {
-  PTAR_CHECK(!schedules_.empty());
-  active_index_ = 0;
-  Distance best = schedules_[0].total();
-  for (std::size_t i = 1; i < schedules_.size(); ++i) {
-    const Distance t = schedules_[i].total();
-    if (t < best) {
-      best = t;
-      active_index_ = i;
-    }
-  }
-}
-
-const AssignedRequest* LegacyKineticTree::FindAssigned(RequestId id) const {
-  for (const AssignedRequest& a : assigned_) {
-    if (a.request.id == id) return &a;
-  }
-  return nullptr;
-}
-
-bool LegacyKineticTree::IsValidSchedule(const Schedule& schedule,
-                                        const AssignedRequest* extra) const {
-  PTAR_DCHECK(schedule.stops.size() == schedule.legs.size());
-
-  struct StopIndex {
-    int pickup = -1;
-    int dropoff = -1;
-  };
-  std::map<RequestId, StopIndex> positions;
-  for (std::size_t i = 0; i < schedule.stops.size(); ++i) {
-    const Stop& stop = schedule.stops[i];
-    StopIndex& pos = positions[stop.request];
-    if (stop.type == StopType::kPickup) {
-      if (pos.pickup != -1) return false;  // duplicate pickup
-      pos.pickup = static_cast<int>(i);
-    } else {
-      if (pos.dropoff != -1) return false;  // duplicate dropoff
-      pos.dropoff = static_cast<int>(i);
-    }
-  }
-
-  auto check_request = [&](const AssignedRequest& a) {
-    auto it = positions.find(a.request.id);
-    if (it == positions.end()) return false;  // request missing entirely
-    const StopIndex& pos = it->second;
-    if (pos.dropoff == -1) return false;
-    if (a.picked_up) {
-      if (pos.pickup != -1) return false;
-      const Distance travelled = odometer_ - a.pickup_odometer;
-      if (travelled + schedule.PrefixDistance(pos.dropoff) >
-          (1.0 + a.request.epsilon) * a.direct_dist + kDistTolerance) {
-        return false;
-      }
-    } else {
-      if (pos.pickup == -1 || pos.pickup > pos.dropoff) return false;
-      if (odometer_ + schedule.PrefixDistance(pos.pickup) >
-          a.deadline_odometer + kDistTolerance) {
-        return false;
-      }
-      if (schedule.PrefixDistance(pos.dropoff) -
-              schedule.PrefixDistance(pos.pickup) >
-          (1.0 + a.request.epsilon) * a.direct_dist + kDistTolerance) {
-        return false;
-      }
-    }
-    return true;
-  };
-
-  std::size_t expected_stops = 0;
-  for (const AssignedRequest& a : assigned_) {
-    if (!check_request(a)) return false;
-    expected_stops += a.picked_up ? 1 : 2;
-  }
-  if (extra != nullptr) {
-    if (!check_request(*extra)) return false;
-    expected_stops += extra->picked_up ? 1 : 2;
-  }
-  if (schedule.stops.size() != expected_stops) return false;  // strays
-
-  int onboard = onboard_;
-  for (const Stop& stop : schedule.stops) {
-    const AssignedRequest* a =
-        (extra != nullptr && extra->request.id == stop.request) ? extra
-        : FindAssigned(stop.request);
-    if (a == nullptr) return false;
-    if (stop.type == StopType::kPickup) {
-      onboard += a->request.riders;
-      if (onboard > capacity_) return false;
-    } else {
-      onboard -= a->request.riders;
-      if (onboard < 0) return false;
-    }
-  }
-  return true;
-}
-
-std::vector<Distance> LegacyKineticTree::GapSlacks(
-    const Schedule& schedule) const {
-  const std::size_t k = schedule.stops.size();
-  std::vector<Distance> prefix(k);
-  {
-    Distance acc = 0;
-    for (std::size_t m = 0; m < k; ++m) {
-      acc += schedule.legs[m];
-      prefix[m] = acc;
-    }
-  }
-  std::vector<Distance> slack(k + 1, kInfDistance);
-
-  for (const AssignedRequest& a : assigned_) {
-    int mp = -1;
-    int mq = -1;
-    for (std::size_t m = 0; m < k; ++m) {
-      if (schedule.stops[m].request == a.request.id) {
-        if (schedule.stops[m].type == StopType::kPickup) {
-          mp = static_cast<int>(m);
-        } else {
-          mq = static_cast<int>(m);
-        }
-      }
-    }
-    if (mq == -1) continue;
-    if (!a.picked_up && mp != -1) {
-      const Distance sw = a.deadline_odometer - odometer_ - prefix[mp];
-      for (int j = 0; j <= mp; ++j) slack[j] = std::min(slack[j], sw);
-      const Distance ss = (1.0 + a.request.epsilon) * a.direct_dist -
-                          (prefix[mq] - prefix[mp]);
-      for (int j = mp + 1; j <= mq; ++j) slack[j] = std::min(slack[j], ss);
-    } else if (a.picked_up) {
-      const Distance travelled = odometer_ - a.pickup_odometer;
-      const Distance ss = (1.0 + a.request.epsilon) * a.direct_dist -
-                          travelled - prefix[mq];
-      for (int j = 0; j <= mq; ++j) slack[j] = std::min(slack[j], ss);
-    }
-  }
-  return slack;
-}
-
-std::vector<int> LegacyKineticTree::GapFreeSeats(
-    const Schedule& schedule) const {
-  const std::size_t k = schedule.stops.size();
-  std::vector<int> free(k + 1, 0);
-  int onboard = onboard_;
-  free[0] = capacity_ - onboard;
-  for (std::size_t m = 0; m < k; ++m) {
-    const Stop& stop = schedule.stops[m];
-    const AssignedRequest* a = FindAssigned(stop.request);
-    const int riders = (a != nullptr) ? a->request.riders : 0;
-    onboard += (stop.type == StopType::kPickup) ? riders : -riders;
-    free[m + 1] = capacity_ - onboard;
-  }
-  return free;
-}
-
-void LegacyKineticTree::EnumerateIntoBranch(
-    const Schedule& branch, const Request& request, Distance direct_dist,
-    const DistFn& dist, const InsertionHooks& hooks,
-    std::vector<InsertionCandidate>* out) const {
-  const std::size_t k = branch.stops.size();
-  const std::vector<Distance> slacks = GapSlacks(branch);
-  const std::vector<int> seats = GapFreeSeats(branch);
-
-  std::vector<Distance> prefix_point(k + 1, 0.0);
-  for (std::size_t m = 0; m < k; ++m) {
-    prefix_point[m + 1] = prefix_point[m] + branch.legs[m];
-  }
-  auto point = [&](std::size_t j) -> VertexId {
-    return j == 0 ? location_ : branch.stops[j - 1].location;
-  };
-
-  const VertexId s = request.start;
-  const VertexId d = request.destination;
-
-  AssignedRequest extra;
-  extra.request = request;
-  extra.direct_dist = direct_dist;
-  extra.deadline_odometer = kInfDistance;
-
-  for (std::size_t i = 0; i <= k; ++i) {
-    const bool s_tail = (i == k);
-    if (seats[i] < request.riders) continue;
-
-    if (hooks.prune_s) {
-      SPositionContext ctx;
-      ctx.ox = point(i);
-      ctx.oy = s_tail ? kInvalidVertex : branch.stops[i].location;
-      ctx.tail = s_tail;
-      ctx.dist_tr_ox = prefix_point[i];
-      ctx.leg_dist = s_tail ? 0.0 : branch.legs[i];
-      ctx.detour_slack = slacks[i];
-      ctx.free_seats = seats[i];
-      if (hooks.prune_s(ctx)) continue;
-    }
-
-    const Distance a = dist(point(i), s);
-    const Distance b = s_tail ? 0.0 : dist(s, branch.stops[i].location);
-    const Distance delta_s = s_tail ? a : a + b - branch.legs[i];
-    if (delta_s > slacks[i] + kDistTolerance) continue;
-    const Distance pickup_dist = prefix_point[i] + a;
-
-    for (std::size_t j = i; j <= k; ++j) {
-      const bool d_tail = (j == k);
-      if (j > i && seats[j] < request.riders) break;
-
-      if (hooks.prune_d) {
-        DPositionContext ctx;
-        ctx.ox = point(j);
-        ctx.oy = d_tail ? kInvalidVertex : branch.stops[j].location;
-        ctx.tail = d_tail;
-        ctx.dist_tr_ox = (j == i) ? pickup_dist : prefix_point[j] + delta_s;
-        ctx.leg_dist = d_tail ? 0.0 : branch.legs[j];
-        ctx.detour_slack = slacks[j];
-        ctx.pickup_dist = pickup_dist;
-        ctx.delta_s = delta_s;
-        ctx.same_gap = (j == i);
-        ctx.dist_ox_s = a;
-        if (hooks.prune_d(ctx)) continue;
-      }
-
-      Schedule candidate;
-      candidate.stops.reserve(k + 2);
-      candidate.legs.reserve(k + 2);
-      const Stop s_stop{StopType::kPickup, request.id, s};
-      const Stop d_stop{StopType::kDropoff, request.id, d};
-
-      if (j == i) {
-        const Distance c1 = dist(s, d);
-        const Distance c2 = d_tail ? 0.0 : dist(d, branch.stops[i].location);
-        candidate.stops.assign(branch.stops.begin(),
-                               branch.stops.begin() + i);
-        candidate.legs.assign(branch.legs.begin(), branch.legs.begin() + i);
-        candidate.stops.push_back(s_stop);
-        candidate.legs.push_back(a);
-        candidate.stops.push_back(d_stop);
-        candidate.legs.push_back(c1);
-        if (!d_tail) {
-          candidate.stops.insert(candidate.stops.end(),
-                                 branch.stops.begin() + i,
-                                 branch.stops.end());
-          candidate.legs.push_back(c2);
-          candidate.legs.insert(candidate.legs.end(),
-                                branch.legs.begin() + i + 1,
-                                branch.legs.end());
-        }
-      } else {
-        const Distance e1 = dist(branch.stops[j - 1].location, d);
-        const Distance e2 = d_tail ? 0.0 : dist(d, branch.stops[j].location);
-        candidate.stops.assign(branch.stops.begin(),
-                               branch.stops.begin() + i);
-        candidate.legs.assign(branch.legs.begin(), branch.legs.begin() + i);
-        candidate.stops.push_back(s_stop);
-        candidate.legs.push_back(a);
-        candidate.stops.insert(candidate.stops.end(),
-                               branch.stops.begin() + i,
-                               branch.stops.begin() + j);
-        candidate.legs.push_back(b);
-        candidate.legs.insert(candidate.legs.end(),
-                              branch.legs.begin() + i + 1,
-                              branch.legs.begin() + j);
-        candidate.stops.push_back(d_stop);
-        candidate.legs.push_back(e1);
-        if (!d_tail) {
-          candidate.stops.insert(candidate.stops.end(),
-                                 branch.stops.begin() + j,
-                                 branch.stops.end());
-          candidate.legs.push_back(e2);
-          candidate.legs.insert(candidate.legs.end(),
-                                branch.legs.begin() + j + 1,
-                                branch.legs.end());
-        }
-      }
-      PTAR_DCHECK(candidate.stops.size() == k + 2);
-      PTAR_DCHECK(candidate.legs.size() == k + 2);
-
-      if (!IsValidSchedule(candidate, &extra)) continue;
-
-      InsertionCandidate result;
-      result.pickup_dist = pickup_dist;
-      result.total_dist = candidate.total();
-      result.schedule = std::move(candidate);
-      out->push_back(std::move(result));
-    }
-  }
-}
-
-std::vector<InsertionCandidate> LegacyKineticTree::EnumerateInsertions(
-    const Request& request, Distance direct_dist, const DistFn& dist,
-    const InsertionHooks& hooks) const {
-  PTAR_CHECK(!stale_) << "Refresh() the tree before enumerating insertions";
-  std::vector<InsertionCandidate> out;
-  for (const Schedule& branch : schedules_) {
-    EnumerateIntoBranch(branch, request, direct_dist, dist, hooks, &out);
-  }
-  std::set<std::vector<std::uint64_t>> seen;
-  std::vector<InsertionCandidate> unique;
-  unique.reserve(out.size());
-  for (auto& cand : out) {
-    std::vector<std::uint64_t> key;
-    key.reserve(2 * cand.schedule.stops.size());
-    for (const Stop& stop : cand.schedule.stops) {
-      key.push_back((static_cast<std::uint64_t>(stop.type) << 32) |
-                    stop.request);
-      key.push_back(stop.location);
-    }
-    if (seen.insert(std::move(key)).second) {
-      unique.push_back(std::move(cand));
-    }
-  }
-  return unique;
-}
-
-Status LegacyKineticTree::Commit(const Request& request, Distance direct_dist,
-                                 Distance planned_pickup_dist,
-                                 const DistFn& dist) {
-  PTAR_CHECK(!stale_) << "Refresh() the tree before committing";
-  std::vector<InsertionCandidate> candidates =
-      EnumerateInsertions(request, direct_dist, dist, InsertionHooks{});
-  const Distance deadline = planned_pickup_dist + request.max_wait_dist;
-  std::erase_if(candidates, [&](const InsertionCandidate& c) {
-    return c.pickup_dist > deadline + 1e-6;
-  });
-  if (candidates.empty()) {
-    return Status::FailedPrecondition(
-        "no valid schedule can serve the request within its constraints");
-  }
-  AssignedRequest assigned;
-  assigned.request = request;
-  assigned.direct_dist = direct_dist;
-  assigned.deadline_odometer = odometer_ + deadline;
-  assigned_.push_back(assigned);
-
-  schedules_.clear();
-  schedules_.reserve(candidates.size());
-  for (auto& c : candidates) {
-    schedules_.push_back(std::move(c.schedule));
-  }
-  if (schedules_.size() > max_branches_) {
-    std::sort(schedules_.begin(), schedules_.end(), BranchLess);
-    schedules_.resize(max_branches_);
-  }
-  RecomputeActive();
-  return Status::OK();
-}
-
-void LegacyKineticTree::MoveTo(VertexId new_location, Distance driven) {
-  PTAR_DCHECK(driven >= 0.0);
-  odometer_ += driven;
-  location_ = new_location;
-  Schedule& active = schedules_[active_index_];
-  if (!active.stops.empty()) {
-    active.legs[0] = std::max<Distance>(0.0, active.legs[0] - driven);
-    if (schedules_.size() > 1) stale_ = true;
-  }
-}
-
-StatusOr<KineticTree::StopEvent> LegacyKineticTree::ArriveAtNextStop() {
-  Schedule& active = schedules_[active_index_];
-  if (active.stops.empty()) {
-    return Status::FailedPrecondition("vehicle has no scheduled stop");
-  }
-  const Stop served = active.stops[0];
-  if (served.location != location_) {
-    return Status::FailedPrecondition(
-        "vehicle is not at the next scheduled stop");
-  }
-
-  KineticTree::StopEvent event;
-  event.request = served.request;
-  event.type = served.type;
-
-  bool found = false;
-  for (std::size_t idx = 0; idx < assigned_.size(); ++idx) {
-    AssignedRequest& a = assigned_[idx];
-    if (a.request.id != served.request) continue;
-    found = true;
-    event.riders = a.request.riders;
-    if (served.type == StopType::kPickup) {
-      PTAR_CHECK(!a.picked_up);
-      a.picked_up = true;
-      a.pickup_odometer = odometer_;
-      onboard_ += a.request.riders;
-      PTAR_CHECK(onboard_ <= capacity_);
-    } else {
-      PTAR_CHECK(a.picked_up);
-      onboard_ -= a.request.riders;
-      PTAR_CHECK(onboard_ >= 0);
-      assigned_.erase(assigned_.begin() + idx);
-    }
-    break;
-  }
-  PTAR_CHECK(found) << "served stop references an unknown request";
-
-  std::vector<Schedule> survivors;
-  for (Schedule& schedule : schedules_) {
-    if (schedule.stops.empty() || !(schedule.stops[0] == served)) continue;
-    schedule.stops.erase(schedule.stops.begin());
-    schedule.legs.erase(schedule.legs.begin());
-    bool duplicate = false;
-    for (const Schedule& kept : survivors) {
-      if (kept.SameStops(schedule)) {
-        duplicate = true;
-        break;
-      }
-    }
-    if (!duplicate) survivors.push_back(std::move(schedule));
-  }
-  PTAR_CHECK(!survivors.empty()) << "active branch must survive its own stop";
-
-  std::vector<Schedule> valid;
-  for (Schedule& schedule : survivors) {
-    if (IsValidSchedule(schedule, nullptr)) {
-      valid.push_back(std::move(schedule));
-    }
-  }
-  PTAR_CHECK(!valid.empty()) << "no valid schedule after serving a stop";
-  schedules_ = std::move(valid);
-
-  if (assigned_.empty()) {
-    PTAR_CHECK(schedules_.size() == 1 && schedules_[0].stops.empty());
-  }
-  stale_ = false;
-  RecomputeActive();
-  return event;
-}
-
-void LegacyKineticTree::Refresh(const DistFn& dist) {
-  if (!stale_) return;
-  std::vector<Schedule> valid;
-  valid.reserve(schedules_.size());
-  for (std::size_t i = 0; i < schedules_.size(); ++i) {
-    Schedule& schedule = schedules_[i];
-    if (i != active_index_ && !schedule.stops.empty()) {
-      schedule.legs[0] = dist(location_, schedule.stops[0].location);
-    }
-    if (IsValidSchedule(schedule, nullptr)) {
-      valid.push_back(std::move(schedule));
-    } else {
-      PTAR_CHECK(i != active_index_) << "active branch became invalid";
-    }
-  }
-  PTAR_CHECK(!valid.empty());
-  schedules_ = std::move(valid);
-  stale_ = false;
-  RecomputeActive();
-}
-
-Status LegacyKineticTree::RebuildBranches(const DistFn& dist) {
-  if (assigned_.empty()) {
-    schedules_.clear();
-    schedules_.push_back(Schedule{});
-    active_index_ = 0;
-    stale_ = false;
-    return Status::OK();
-  }
-  std::vector<Schedule> rebuilt;
-  rebuilt.reserve(schedules_.size());
-  for (Schedule& branch : schedules_) {
-    branch.legs.clear();
-    branch.legs.reserve(branch.stops.size());
-    VertexId prev = location_;
-    bool reachable = true;
-    for (const Stop& stop : branch.stops) {
-      const Distance leg = dist(prev, stop.location);
-      if (leg == kInfDistance) {
-        reachable = false;
-        break;
-      }
-      branch.legs.push_back(leg);
-      prev = stop.location;
-    }
-    if (!reachable || !IsValidSchedule(branch, nullptr)) continue;
-    bool duplicate = false;
-    for (const Schedule& kept : rebuilt) {
-      if (kept.SameStops(branch)) {
-        duplicate = true;
-        break;
-      }
-    }
-    if (!duplicate) rebuilt.push_back(std::move(branch));
-  }
-  if (rebuilt.empty()) {
-    return Status::Internal("no valid branch survived rebuild for vehicle " +
-                            std::to_string(vehicle_));
-  }
-  std::sort(rebuilt.begin(), rebuilt.end(), BranchLess);
-  schedules_ = std::move(rebuilt);
-  stale_ = false;
-  RecomputeActive();
-  return Status::OK();
-}
-
-std::size_t LegacyKineticTree::MemoryBytes(std::size_t alloc_overhead) const {
-  std::size_t bytes = sizeof(*this);
-  auto block = [&](std::size_t cap, std::size_t elem) {
-    if (cap != 0) bytes += cap * elem + alloc_overhead;
-  };
-  block(schedules_.capacity(), sizeof(Schedule));
-  for (const Schedule& schedule : schedules_) {
-    block(schedule.stops.capacity(), sizeof(Stop));
-    block(schedule.legs.capacity(), sizeof(Distance));
-  }
-  block(assigned_.capacity(), sizeof(AssignedRequest));
-  return bytes;
-}
-
-// ---------------------------------------------------------------------------
-// Twin harness.
-// ---------------------------------------------------------------------------
 
 namespace {
 
@@ -587,22 +25,17 @@ std::uint64_t NextRand(std::uint64_t& state) {
   return z ^ (z >> 31);
 }
 
-std::string StopString(const Stop& stop) {
-  std::ostringstream os;
-  os << (stop.type == StopType::kPickup ? "s" : "d") << stop.request << "@"
-     << stop.location;
-  return os.str();
-}
-
-std::string ScheduleString(const Schedule& schedule) {
-  std::ostringstream os;
-  os << "[";
+/// Trip distance to `id`'s pickup in `schedule` (kInfDistance if absent).
+Distance PickupPrefix(const Schedule& schedule, RequestId id) {
+  Distance prefix = 0.0;
   for (std::size_t i = 0; i < schedule.stops.size(); ++i) {
-    if (i != 0) os << " ";
-    os << StopString(schedule.stops[i]);
+    prefix += schedule.legs[i];
+    if (schedule.stops[i].request == id &&
+        schedule.stops[i].type == StopType::kPickup) {
+      return prefix;
+    }
   }
-  os << "] total=" << schedule.total();
-  return os.str();
+  return kInfDistance;
 }
 
 /// Collects divergence findings for one seeded run; formats every line with
@@ -628,130 +61,48 @@ class TwinChecker {
     failed_ = true;
   }
 
-  /// Legacy-vs-arena full state equality (branch order is construction
-  /// order in both representations, so branches compare element-wise).
-  void CompareState(const LegacyKineticTree& legacy, const KineticTree& tree) {
+  void Bookkeeping(const char* which, const KineticTree& tree,
+                   const VehicleState& state) {
     if (failed_) return;
-    if (legacy.location() != tree.location()) {
-      return Fail("location mismatch");
-    }
-    if (legacy.onboard() != tree.onboard()) return Fail("onboard mismatch");
-    if (legacy.odometer() != tree.odometer()) return Fail("odometer mismatch");
-    if (legacy.stale() != tree.stale()) return Fail("stale flag mismatch");
-    if (legacy.IsEmpty() != tree.IsEmpty()) return Fail("IsEmpty mismatch");
-    const auto& la = legacy.assigned();
-    const auto& na = tree.assigned();
-    if (la.size() != na.size()) return Fail("assigned count mismatch");
-    for (std::size_t i = 0; i < la.size(); ++i) {
-      if (la[i].request.id != na[i].request.id ||
-          la[i].picked_up != na[i].picked_up ||
-          la[i].direct_dist != na[i].direct_dist ||
-          la[i].deadline_odometer != na[i].deadline_odometer ||
-          la[i].pickup_odometer != na[i].pickup_odometer) {
-        return Fail("assigned[" + std::to_string(i) + "] mismatch for request " +
-                    std::to_string(la[i].request.id));
-      }
-    }
-    const std::vector<Schedule>& lb = legacy.schedules();
-    const std::vector<Schedule> nb = tree.Schedules();
-    if (lb.size() != nb.size()) {
-      return Fail("branch count mismatch: legacy=" + std::to_string(lb.size()) +
-                  " arena=" + std::to_string(nb.size()));
-    }
-    const Schedule& active = nb[tree.active_index()];
-    const Stop* active_first =
-        active.stops.empty() ? nullptr : &active.stops[0];
-    for (std::size_t b = 0; b < lb.size(); ++b) {
-      if (!lb[b].SameStops(nb[b])) {
-        return Fail("branch " + std::to_string(b) + " stop sequence: legacy=" +
-                    ScheduleString(lb[b]) + " arena=" + ScheduleString(nb[b]));
-      }
-      for (std::size_t m = 0; m < lb[b].legs.size(); ++m) {
-        // While stale (mid-drive), the arena's shared first leg is already
-        // decremented for every branch through the active's first stop; the
-        // legacy tree leaves non-active copies stale until Refresh(). The
-        // arena value is the more accurate one — both agree again (within
-        // tolerance) after the next Refresh/arrival, which this checker
-        // still verifies exactly.
-        // (The twins may even disagree on which of two ulp-tied branches
-        // is active, so the skip covers every branch through that stop.)
-        if (tree.stale() && m == 0 && active_first != nullptr &&
-            !nb[b].stops.empty() && nb[b].stops[0] == *active_first) {
-          continue;
-        }
-        if (std::abs(lb[b].legs[m] - nb[b].legs[m]) > kDistTolerance) {
-          return Fail("branch " + std::to_string(b) + " leg " +
-                      std::to_string(m) + " drift: legacy=" +
-                      std::to_string(lb[b].legs[m]) + " arena=" +
-                      std::to_string(nb[b].legs[m]));
-        }
-      }
-    }
-    if (std::abs(legacy.CurrentTotal() - tree.CurrentTotal()) >
-        kDistTolerance) {
-      return Fail("active total drift");
-    }
+    const std::string mismatch = BookkeepingMismatch(tree, state);
+    if (!mismatch.empty()) Fail(std::string(which) + " " + mismatch);
   }
 
-  /// Candidate-list equality; enumeration order is deterministic and shared.
-  void CompareCandidates(const std::vector<InsertionCandidate>& a,
-                         const std::vector<InsertionCandidate>& b) {
+  void Diff(const std::string& what, const std::vector<Schedule>& got,
+            Distance got_total, const std::vector<Schedule>& want,
+            bool subset) {
     if (failed_) return;
-    if (a.size() != b.size()) {
-      return Fail("candidate count mismatch: legacy=" +
-                  std::to_string(a.size()) + " arena=" +
-                  std::to_string(b.size()));
-    }
-    for (std::size_t i = 0; i < a.size(); ++i) {
-      if (!a[i].schedule.SameStops(b[i].schedule)) {
-        return Fail("candidate " + std::to_string(i) + " stop sequence");
-      }
-      if (std::abs(a[i].pickup_dist - b[i].pickup_dist) > kDistTolerance ||
-          std::abs(a[i].total_dist - b[i].total_dist) > kDistTolerance) {
-        return Fail("candidate " + std::to_string(i) + " metric drift");
-      }
-    }
+    const OracleDiff diff = DiffAgainstOracle(got, got_total, want, subset);
+    if (diff.ok()) return;
+    std::ostringstream os;
+    os << what << " vs oracle (" << got.size() << " vs " << want.size()
+       << " schedules): " << diff.missing << " missing, " << diff.spurious
+       << " spurious, " << diff.drift << " drifted"
+       << (diff.total_mismatch ? ", total mismatch" : "");
+    for (const std::string& line : diff.findings) os << "; " << line;
+    Fail(os.str());
   }
 
-  /// Every capped branch must appear (same stops, legs within tolerance) in
-  /// the uncapped tree's branch set — the retention guarantee.
-  void CompareSubset(const KineticTree& capped, const KineticTree& full) {
+  /// Candidates of `request` vs the oracle's schedules with it assigned.
+  void Candidates(const std::string& what,
+                  const std::vector<InsertionCandidate>& cands,
+                  RequestId request, const std::vector<Schedule>& want,
+                  bool subset) {
     if (failed_) return;
-    const std::vector<Schedule> cb = capped.Schedules();
-    const std::vector<Schedule> fb = full.Schedules();
-    if (cb.size() > fb.size()) {
-      return Fail("capped tree has more branches than uncapped");
-    }
-    for (const Schedule& c : cb) {
-      bool found = false;
-      for (const Schedule& f : fb) {
-        if (!c.SameStops(f)) continue;
-        found = true;
-        // While stale, each tree has decremented the shared first leg of
-        // its *own* active path, which need not be the same stop in the
-        // two trees; legs[0] re-aligns at the next Refresh.
-        for (std::size_t m = capped.stale() ? 1 : 0; m < c.legs.size(); ++m) {
-          if (std::abs(c.legs[m] - f.legs[m]) > kDistTolerance) {
-            return Fail("capped branch leg drift vs uncapped: " +
-                        ScheduleString(c));
-          }
-        }
-        break;
+    std::vector<Schedule> got;
+    got.reserve(cands.size());
+    Distance got_total = kInfDistance;
+    for (const InsertionCandidate& c : cands) {
+      const Distance pickup = PickupPrefix(c.schedule, request);
+      if (std::abs(c.pickup_dist - pickup) > kDistTolerance ||
+          std::abs(c.total_dist - c.schedule.total()) > kDistTolerance) {
+        return Fail(what + " metrics disagree with their schedule: " +
+                    ScheduleString(c.schedule));
       }
-      if (!found) {
-        return Fail("capped branch not in uncapped set: " + ScheduleString(c));
-      }
+      got_total = std::min(got_total, c.total_dist);
+      got.push_back(c.schedule);
     }
-    // Subset minimum can never beat the superset minimum; a capped active
-    // total below the uncapped one means a branch exists only in the
-    // capped tree. (Not checkable while stale: only each tree's own active
-    // first leg is decremented, so stored totals are transiently skewed.)
-    if (!capped.stale() &&
-        capped.CurrentTotal() < full.CurrentTotal() - kDistTolerance) {
-      return Fail("capped tree drives a branch the uncapped tree lacks: "
-                  "capped total=" + std::to_string(capped.CurrentTotal()) +
-                  " uncapped=" + std::to_string(full.CurrentTotal()));
-    }
+    Diff(what, got, got_total, want, subset);
   }
 
  private:
@@ -762,12 +113,42 @@ class TwinChecker {
   bool failed_ = false;
 };
 
-bool SameFirstStop(const Schedule& a, const Schedule& b) {
-  if (a.stops.empty() || b.stops.empty()) return a.stops.empty() == b.stops.empty();
-  return a.stops[0] == b.stops[0];
+bool SameFirstStop(const KineticTree& a, const KineticTree& b) {
+  const Schedule sa = a.ActiveSchedule();
+  const Schedule sb = b.ActiveSchedule();
+  if (sa.stops.empty() || sb.stops.empty()) {
+    return sa.stops.empty() == sb.stops.empty();
+  }
+  return sa.stops[0] == sb.stops[0];
 }
 
 }  // namespace
+
+std::string BookkeepingMismatch(const KineticTree& tree,
+                                const VehicleState& state) {
+  if (tree.location() != state.location) return "location mismatch";
+  if (tree.odometer() != state.odometer) return "odometer mismatch";
+  if (tree.onboard() != state.onboard) return "onboard mismatch";
+  if (tree.capacity() != state.capacity) return "capacity mismatch";
+  const std::vector<AssignedRequest>& got = tree.assigned();
+  if (got.size() != state.assigned.size()) return "assigned count mismatch";
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    const AssignedRequest& g = got[i];
+    const AssignedRequest& w = state.assigned[i];
+    const char* field =
+        g.request.id != w.request.id                 ? "id"
+        : g.direct_dist != w.direct_dist             ? "direct_dist"
+        : g.deadline_odometer != w.deadline_odometer ? "deadline_odometer"
+        : g.picked_up != w.picked_up                 ? "picked_up"
+        : g.pickup_odometer != w.pickup_odometer     ? "pickup_odometer"
+                                                     : nullptr;
+    if (field != nullptr) {
+      return "assigned[" + std::to_string(i) + "]." + field +
+             " mismatch for request " + std::to_string(w.request.id);
+    }
+  }
+  return "";
+}
 
 TreeTwinOutcome RunTreeTwin(std::uint64_t seed, DistanceBackend backend,
                             std::size_t cap) {
@@ -792,18 +173,18 @@ TreeTwinOutcome RunTreeTwin(std::uint64_t seed, DistanceBackend backend,
   DijkstraEngine router(&graph);
   const KineticTreeAuditor auditor(dist);
 
-  const VertexId start = spec.vehicle_starts.empty()
-                             ? static_cast<VertexId>(seed % graph.num_vertices())
-                             : spec.vehicle_starts[0];
-  const int capacity = spec.vehicle_capacity;
+  VehicleState state;
+  state.location = spec.vehicle_starts.empty()
+                       ? static_cast<VertexId>(seed % graph.num_vertices())
+                       : spec.vehicle_starts[0];
+  state.capacity = spec.vehicle_capacity;
 
-  LegacyKineticTree legacy(0, start, capacity);
-  KineticTree tree(0, start, capacity);
-  KineticTree capped(0, start, capacity,
+  KineticTree tree(0, state.location, state.capacity);
+  KineticTree capped(0, state.location, state.capacity,
                      cap > 0 ? cap : KineticTree::kUnlimitedBranches);
-  // The capped twin is comparable until its branch set stops being a
-  // superset-equal (exact while nothing dropped) or its active path departs
-  // from the uncapped tree's (it then physically drives elsewhere).
+  // The capped tree is checked until a commit it cannot serve (its riders
+  // then differ) or until its active branch departs from the uncapped
+  // tree's (it would then drive elsewhere). It is exact until it drops.
   bool capped_live = cap > 0;
   bool capped_exact = capped_live;
 
@@ -827,26 +208,29 @@ TreeTwinOutcome RunTreeTwin(std::uint64_t seed, DistanceBackend backend,
   };
 
   auto refresh_all = [&]() {
-    legacy.Refresh(dist);
     tree.Refresh(dist);
     if (capped_live) capped.Refresh(dist);
   };
 
-  auto audit_arena = [&]() {
+  // Bookkeeping after every op; branch sets whenever the trees are fresh
+  // (a stale tree's non-active first legs still measure from an old
+  // location until Refresh).
+  auto compare_all = [&]() {
+    check.Bookkeeping("tree", tree, state);
+    if (capped_live) check.Bookkeeping("capped tree", capped, state);
     if (check.failed() || tree.stale()) return;
+    const std::vector<Schedule> want = EnumerateSchedules(state, dist);
+    outcome.branch_checks++;
+    check.Diff("branch set", tree.Schedules(), tree.CurrentTotal(), want,
+               /*subset=*/false);
+    if (capped_live && !capped.stale()) {
+      check.Diff("capped branch set", capped.Schedules(),
+                 capped.CurrentTotal(), want, /*subset=*/!capped_exact);
+    }
+    if (check.failed()) return;
     const AuditReport report = auditor.AuditTree(tree);
     if (!report.ok()) {
-      check.Fail("auditor flagged the arena tree: " + report.findings[0]);
-    }
-  };
-
-  auto compare_all = [&]() {
-    check.CompareState(legacy, tree);
-    if (check.failed() || !capped_live) return;
-    if (capped_exact) {
-      check.CompareState(legacy, capped);
-    } else {
-      check.CompareSubset(capped, tree);
+      check.Fail("auditor flagged the tree: " + report.findings[0]);
     }
   };
 
@@ -855,50 +239,60 @@ TreeTwinOutcome RunTreeTwin(std::uint64_t seed, DistanceBackend backend,
     outcome.ops++;
     const std::uint64_t roll = NextRand(rng) % 100;
 
-    if (roll < 40 && legacy.assigned().size() < 6) {
+    if (roll < 40 && state.assigned.size() < 6) {
       check.SetOp(op, "commit");
-      if (legacy.stale()) refresh_all();
+      if (tree.stale()) refresh_all();
       const Request request = make_request();
       if (request.start == request.destination) continue;
       const Distance direct = dist(request.start, request.destination);
       if (!(direct < kInfDistance)) continue;
 
-      const auto legacy_cands =
-          legacy.EnumerateInsertions(request, direct, dist, InsertionHooks{});
-      const auto arena_cands =
-          tree.EnumerateInsertions(request, direct, dist, InsertionHooks{});
-      check.CompareCandidates(legacy_cands, arena_cands);
-      if (check.failed()) break;
-      if (capped_live && capped_exact) {
-        const auto capped_cands =
-            capped.EnumerateInsertions(request, direct, dist,
-                                       InsertionHooks{});
-        check.CompareCandidates(legacy_cands, capped_cands);
-        if (check.failed()) break;
+      // The new request's waiting constraint holds at creation (planned ==
+      // actual pickup), so the candidates carry no deadline for it.
+      AssignedRequest assigned;
+      assigned.request = request;
+      assigned.direct_dist = direct;
+      assigned.deadline_odometer = kInfDistance;
+      VehicleState with_request = state;
+      with_request.assigned.push_back(assigned);
+      const std::vector<Schedule> want =
+          EnumerateSchedules(with_request, dist);
+      outcome.candidate_checks++;
+      check.Candidates("candidates",
+                       tree.EnumerateInsertions(request, direct, dist,
+                                                InsertionHooks{}),
+                       request.id, want, /*subset=*/false);
+      if (capped_live) {
+        check.Candidates("capped candidates",
+                         capped.EnumerateInsertions(request, direct, dist,
+                                                    InsertionHooks{}),
+                         request.id, want, /*subset=*/!capped_exact);
       }
-      if (legacy_cands.empty()) continue;
+      if (check.failed() || want.empty()) continue;
 
-      Distance planned = legacy_cands[0].pickup_dist;
-      for (const InsertionCandidate& c : legacy_cands) {
-        planned = std::min(planned, c.pickup_dist);
+      Distance planned = kInfDistance;
+      for (const Schedule& s : want) {
+        planned = std::min(planned, PickupPrefix(s, request.id));
       }
-      const Status ls = legacy.Commit(request, direct, planned, dist);
-      const Status ns = tree.Commit(request, direct, planned, dist);
-      if (ls.ok() != ns.ok()) {
-        check.Fail("commit status mismatch: legacy=" +
-                   std::string(ls.ok() ? "ok" : ls.message()) + " arena=" +
-                   std::string(ns.ok() ? "ok" : ns.message()));
+      const Status status = tree.Commit(request, direct, planned, dist);
+      if (!status.ok()) {
+        check.Fail("commit failed though the oracle lists a schedule: " +
+                   std::string(status.message()));
         break;
       }
-      if (ls.ok()) outcome.commits++;
+      outcome.commits++;
+      // The tree's association order: odometer + (planned + w).
+      assigned.deadline_odometer =
+          state.odometer + (planned + request.max_wait_dist);
+      state.assigned.push_back(assigned);
       if (capped_live) {
         const Status cs = capped.Commit(request, direct, planned, dist);
         if (cs.ok()) {
           capped_exact = capped_exact && capped.branches_dropped() == 0;
         } else if (capped.branches_dropped() > 0) {
           // The feasible insertion lived only in dropped branches: an
-          // attributed option loss, after which the capped tree's rider set
-          // diverges and the comparison window closes.
+          // attributed option loss, after which the capped tree's riders
+          // differ and its comparison window closes.
           outcome.capped_losses++;
           capped_live = false;
         } else {
@@ -911,23 +305,6 @@ TreeTwinOutcome RunTreeTwin(std::uint64_t seed, DistanceBackend backend,
       check.SetOp(op, "move");
       const VertexId target = tree.NextStopLocation();
       if (target == kInvalidVertex) continue;
-      if (legacy.NextStopLocation() != target) {
-        // Branch sets match (CompareState), so a next-stop mismatch can
-        // only be an active-selection tie flip from sub-tolerance leg
-        // drift. Rebuilding recomputes all legs identically and realigns.
-        if (std::abs(legacy.CurrentTotal() - tree.CurrentTotal()) >
-            kDistTolerance) {
-          check.Fail("next stop mismatch beyond tie tolerance");
-          break;
-        }
-        check.SetOp(op, "move-realign");
-        PTAR_CHECK(legacy.RebuildBranches(dist).ok());
-        PTAR_CHECK(tree.RebuildBranches(dist).ok());
-        if (capped_live) PTAR_CHECK(capped.RebuildBranches(dist).ok());
-        compare_all();
-        audit_arena();
-        continue;
-      }
       if (tree.location() == target) continue;  // already there; arrive op
       if (capped_live && capped.NextStopLocation() != target) {
         // The capped tree would drive a different branch; its physical
@@ -946,44 +323,48 @@ TreeTwinOutcome RunTreeTwin(std::uint64_t seed, DistanceBackend backend,
         }
       }
       PTAR_CHECK(hop_dist > 0.0);
-      legacy.MoveTo(hop, hop_dist);
       tree.MoveTo(hop, hop_dist);
       if (capped_live) capped.MoveTo(hop, hop_dist);
+      state.location = hop;
+      state.odometer += hop_dist;
     } else if (roll < 80) {
       check.SetOp(op, "arrive");
       const VertexId target = tree.NextStopLocation();
       if (target == kInvalidVertex || target != tree.location()) continue;
-      if (!SameFirstStop(legacy.ActiveSchedule(), tree.ActiveSchedule())) {
-        if (std::abs(legacy.CurrentTotal() - tree.CurrentTotal()) >
-            kDistTolerance) {
-          check.Fail("served stop mismatch beyond tie tolerance");
-          break;
-        }
-        continue;  // tie flip; a later rebuild or refresh realigns
-      }
-      if (capped_live &&
-          !SameFirstStop(capped.ActiveSchedule(), tree.ActiveSchedule())) {
+      const Stop served = tree.ActiveSchedule().stops[0];
+      if (capped_live && !SameFirstStop(capped, tree)) {
         capped_live = false;  // would serve a different stop
       }
-      const auto le = legacy.ArriveAtNextStop();
-      const auto ne = tree.ArriveAtNextStop();
-      if (le.ok() != ne.ok()) {
-        check.Fail("arrive status mismatch");
+      const auto event = tree.ArriveAtNextStop();
+      if (!event.ok()) {
+        check.Fail("arrive failed at the active first stop: " +
+                   std::string(event.status().message()));
         break;
       }
-      if (le.ok()) {
-        outcome.arrivals++;
-        if (le->request != ne->request || le->type != ne->type ||
-            le->riders != ne->riders) {
-          check.Fail("stop event mismatch");
+      outcome.arrivals++;
+      auto it = std::find_if(state.assigned.begin(), state.assigned.end(),
+                             [&](const AssignedRequest& a) {
+                               return a.request.id == served.request;
+                             });
+      if (it == state.assigned.end() || event->request != served.request ||
+          event->type != served.type ||
+          event->riders != it->request.riders) {
+        check.Fail("stop event does not match the served stop");
+        break;
+      }
+      if (served.type == StopType::kPickup) {
+        it->picked_up = true;
+        it->pickup_odometer = state.odometer;
+        state.onboard += it->request.riders;
+      } else {
+        state.onboard -= it->request.riders;
+        state.assigned.erase(it);
+      }
+      if (capped_live) {
+        const auto ce = capped.ArriveAtNextStop();
+        if (!ce.ok() || ce->request != served.request) {
+          check.Fail("capped arrive diverged on a shared stop");
           break;
-        }
-        if (capped_live) {
-          const auto ce = capped.ArriveAtNextStop();
-          if (!ce.ok() || ce->request != le->request) {
-            check.Fail("capped arrive diverged on a shared stop");
-            break;
-          }
         }
       }
     } else if (roll < 90) {
@@ -991,10 +372,8 @@ TreeTwinOutcome RunTreeTwin(std::uint64_t seed, DistanceBackend backend,
       refresh_all();
     } else {
       check.SetOp(op, "rebuild");
-      const Status ls = legacy.RebuildBranches(dist);
-      const Status ns = tree.RebuildBranches(dist);
-      if (ls.ok() != ns.ok()) {
-        check.Fail("rebuild status mismatch");
+      if (!tree.RebuildBranches(dist).ok()) {
+        check.Fail("rebuild failed");
         break;
       }
       if (capped_live && !capped.RebuildBranches(dist).ok()) {
@@ -1004,7 +383,6 @@ TreeTwinOutcome RunTreeTwin(std::uint64_t seed, DistanceBackend backend,
     }
 
     compare_all();
-    audit_arena();
   }
 
   if (cap > 0) outcome.capped_drops += capped.branches_dropped();

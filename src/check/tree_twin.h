@@ -1,115 +1,40 @@
-// Differential twin for the kinetic-tree representation overhaul.
-//
-// The arena/SoA BranchStore (kinetic/branch_store.h) replaced the original
-// flat representation — every branch a full Schedule (vector<Stop> +
-// vector<Distance>) in a flat vector. This header keeps that original
-// representation alive as LegacyKineticTree, a verbatim behavioral port,
-// for two jobs:
-//
-//  1. RunTreeTwin: seeded fuzz runs feeding identical op sequences
-//     (commit / move / arrive / refresh / rebuild) to a legacy tree and an
-//     arena tree, asserting identical branch sets, identical bookkeeping,
-//     and auditor-clean arena state after every op. Wired into ptar_check
-//     (--tree_twin=N) and the differential-nightly sweep on both distance
-//     backends.
-//  2. table04_memory: the legacy tree is the honest memory baseline the
-//     >=4x bytes/vehicle bar is measured against, and the insert-latency
-//     no-regression bar races the two representations in one process.
+// Kinetic-tree twin harness: seeded op streams (commit / move / arrive /
+// refresh / rebuild) drive an arena KineticTree, while the harness keeps
+// its own VehicleState from the same stream. After every op that leaves the
+// tree fresh, the tree's branch set must equal the brute-force schedule
+// oracle's (check/schedule_oracle.h) for that state, and every commit's
+// insertion candidates must equal the oracle's schedules with the new
+// request added. The tree's bookkeeping must equal the harness's exactly
+// and the tree must stay auditor-clean. Wired into ptar_check
+// (--tree_twin=N), its CLI smoke tests and differential-nightly on both
+// distance backends; tests/kinetic_twin_test.cc keeps a fast slice.
 
 #ifndef PTAR_CHECK_TREE_TWIN_H_
 #define PTAR_CHECK_TREE_TWIN_H_
 
 #include <cstdint>
-#include <limits>
 #include <string>
 #include <vector>
 
-#include "common/status.h"
+#include "check/schedule_oracle.h"
 #include "graph/distance_oracle.h"
-#include "graph/types.h"
 #include "kinetic/kinetic_tree.h"
 
 namespace ptar::check {
 
-/// The pre-arena kinetic tree: branches stored as whole Schedule copies.
-/// Port of the representation BranchStore replaced; its observable behavior
-/// (branch sets, validity verdicts, active selection, statuses) is the twin
-/// oracle. Shares the public vocabulary types (AssignedRequest,
-/// InsertionCandidate, InsertionHooks, StopEvent) with KineticTree.
-class LegacyKineticTree {
- public:
-  using DistFn = KineticTree::DistFn;
-
-  LegacyKineticTree(
-      VehicleId vehicle, VertexId location, int capacity,
-      std::size_t max_branches = std::numeric_limits<std::size_t>::max());
-
-  VehicleId vehicle() const { return vehicle_; }
-  VertexId location() const { return location_; }
-  int capacity() const { return capacity_; }
-  int onboard() const { return onboard_; }
-  Distance odometer() const { return odometer_; }
-  bool IsEmpty() const { return assigned_.empty(); }
-  const std::vector<AssignedRequest>& assigned() const { return assigned_; }
-  const std::vector<Schedule>& schedules() const { return schedules_; }
-  const Schedule& ActiveSchedule() const { return schedules_[active_index_]; }
-  std::size_t active_index() const { return active_index_; }
-  Distance CurrentTotal() const { return ActiveSchedule().total(); }
-  bool stale() const { return stale_; }
-  VertexId NextStopLocation() const;
-
-  std::vector<InsertionCandidate> EnumerateInsertions(
-      const Request& request, Distance direct_dist, const DistFn& dist,
-      const InsertionHooks& hooks) const;
-  Status Commit(const Request& request, Distance direct_dist,
-                Distance planned_pickup_dist, const DistFn& dist);
-  void MoveTo(VertexId new_location, Distance driven);
-  StatusOr<KineticTree::StopEvent> ArriveAtNextStop();
-  void Refresh(const DistFn& dist);
-  Status RebuildBranches(const DistFn& dist);
-  bool IsValidSchedule(const Schedule& schedule,
-                       const AssignedRequest* extra) const;
-
-  /// Honest heap footprint of this representation: every owned vector block
-  /// at capacity() * element size, plus `alloc_overhead` bytes of allocator
-  /// bookkeeping per non-empty block (glibc malloc spends ~16). This is
-  /// what the flat representation actually costs, unlike the pre-overhaul
-  /// MemoryBytes() which ignored the schedules vector itself and the
-  /// per-allocation overhead of its 2B+1 heap blocks.
-  std::size_t MemoryBytes(std::size_t alloc_overhead = 16) const;
-
- private:
-  void RecomputeActive();
-  const AssignedRequest* FindAssigned(RequestId id) const;
-  std::vector<Distance> GapSlacks(const Schedule& schedule) const;
-  std::vector<int> GapFreeSeats(const Schedule& schedule) const;
-  void EnumerateIntoBranch(const Schedule& branch, const Request& request,
-                           Distance direct_dist, const DistFn& dist,
-                           const InsertionHooks& hooks,
-                           std::vector<InsertionCandidate>* out) const;
-
-  VehicleId vehicle_;
-  VertexId location_;
-  int capacity_;
-  std::size_t max_branches_;
-  int onboard_ = 0;
-  Distance odometer_ = 0.0;
-  std::vector<AssignedRequest> assigned_;
-  std::vector<Schedule> schedules_;
-  std::size_t active_index_ = 0;
-  bool stale_ = false;
-};
-
 /// Aggregated result of twin runs. `findings` carries one line per
-/// divergence (empty = the representations agreed everywhere).
+/// divergence (empty = the trees matched the oracle everywhere).
 struct TreeTwinOutcome {
   std::uint64_t ops = 0;
   std::uint64_t commits = 0;
   std::uint64_t arrivals = 0;
+  /// Branch sets and insertion-candidate sets compared with the oracle.
+  std::uint64_t branch_checks = 0;
+  std::uint64_t candidate_checks = 0;
   std::uint64_t divergences = 0;
-  /// Capped-twin option losses, each attributed to a nonzero drop counter.
+  /// Capped-tree option losses, each attributed to a nonzero drop counter.
   std::uint64_t capped_losses = 0;
-  /// Total branches the capped twin dropped (tree/branches_dropped).
+  /// Total branches the capped tree dropped (tree/branches_dropped).
   std::uint64_t capped_drops = 0;
   std::vector<std::string> findings;
 
@@ -119,6 +44,8 @@ struct TreeTwinOutcome {
     ops += other.ops;
     commits += other.commits;
     arrivals += other.arrivals;
+    branch_checks += other.branch_checks;
+    candidate_checks += other.candidate_checks;
     divergences += other.divergences;
     capped_losses += other.capped_losses;
     capped_drops += other.capped_drops;
@@ -127,14 +54,18 @@ struct TreeTwinOutcome {
   }
 };
 
-/// Runs one seeded twin scenario on a generated city: one vehicle's legacy
-/// and arena trees are fed an identical random op sequence; after every op
-/// the branch sets (in branch order; stop sequences exact, legs within
-/// 1e-6), rider bookkeeping, and statuses must match, and the arena tree
-/// must be auditor-clean. A capped arena tree (`cap` branches; 0 = skip)
-/// rides along: it must match exactly until its first drop, stay a
-/// branch-subset of the uncapped tree afterwards, and attribute every lost
-/// commit to its drop counters.
+/// Exact comparison of the tree's location, odometer, onboard count,
+/// capacity and assigned requests (id, direct distance, deadline, pickup
+/// state) with `state`. Returns "" when they agree, else the first
+/// difference.
+std::string BookkeepingMismatch(const KineticTree& tree,
+                                const VehicleState& state);
+
+/// Runs one seeded twin scenario on a generated city (see the file
+/// comment). A capped tree (`cap` branches; 0 = none) rides along: it must
+/// match the oracle exactly until its first drop, then stay a subset of the
+/// oracle's set whose shortest branch never beats the oracle's minimum, and
+/// attribute every lost commit to its drop counters.
 TreeTwinOutcome RunTreeTwin(std::uint64_t seed, DistanceBackend backend,
                             std::size_t cap);
 

@@ -1,4 +1,4 @@
-#include "rideshare/ellipse_matcher.h"
+#include "rideshare/pruned_matcher.h"
 
 namespace ptar {
 

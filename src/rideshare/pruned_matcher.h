@@ -1,22 +1,21 @@
-// GeoPrune wrappers: run any matcher with the ellipse prefilter installed.
+// GeoPrune wrapper: run any matcher with the ellipse prefilter installed.
 //
 // PrunedMatcher decorates an inner matcher: on each Match it (lazily)
 // builds an EllipsePrefilter for the context's graph, installs it as
 // ctx.prune for the duration of the call, and restores the previous value
 // on exit. The inner matcher picks the filter up through the shared
 // verification helpers (matcher_internal), so BA / SSA / DSA / GRID all
-// gain GeoPrune without per-matcher code. EllipseMatcher is the standalone
-// ablation configuration: a pruned full-fleet scan (BA + ellipse), i.e.
+// gain GeoPrune without per-matcher code. Wrapping BaselineMatcher gives
+// the ablation configuration "BA+EL": a pruned full-fleet scan, i.e.
 // GeoPrune with no grid lemma assistance on the empty side.
 
-#ifndef PTAR_RIDESHARE_ELLIPSE_MATCHER_H_
-#define PTAR_RIDESHARE_ELLIPSE_MATCHER_H_
+#ifndef PTAR_RIDESHARE_PRUNED_MATCHER_H_
+#define PTAR_RIDESHARE_PRUNED_MATCHER_H_
 
 #include <memory>
 #include <utility>
 
 #include "prune/ellipse_prefilter.h"
-#include "rideshare/baseline_matcher.h"
 #include "rideshare/matcher.h"
 
 namespace ptar {
@@ -45,14 +44,6 @@ class PrunedMatcher : public Matcher {
   const RoadNetwork* filter_graph_ = nullptr;
 };
 
-class EllipseMatcher : public PrunedMatcher {
- public:
-  explicit EllipseMatcher(prune::EllipsePrefilter::Options opts = {})
-      : PrunedMatcher(std::make_unique<BaselineMatcher>(), opts) {}
-
-  std::string name() const override { return "ELLIPSE"; }
-};
-
 }  // namespace ptar
 
-#endif  // PTAR_RIDESHARE_ELLIPSE_MATCHER_H_
+#endif  // PTAR_RIDESHARE_PRUNED_MATCHER_H_

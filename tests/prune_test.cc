@@ -21,8 +21,8 @@
 #include "prune/ellipse_prefilter.h"
 #include "rideshare/baseline_matcher.h"
 #include "rideshare/dsa_matcher.h"
-#include "rideshare/ellipse_matcher.h"
 #include "rideshare/matcher_internal.h"
+#include "rideshare/pruned_matcher.h"
 #include "rideshare/ssa_matcher.h"
 #include "sim/engine.h"
 #include "sim/workload.h"
@@ -330,7 +330,6 @@ check::MatcherFactory PrunedFactory(double shrink_factor) {
         std::make_unique<SsaMatcher>(1.0), popts));
     matchers.push_back(std::make_unique<PrunedMatcher>(
         std::make_unique<DsaMatcher>(1.0), popts));
-    matchers.push_back(std::make_unique<EllipseMatcher>(popts));
     return matchers;
   };
 }

@@ -12,6 +12,8 @@
 //   --replay    run one saved replay file instead of random scenarios
 //   --selftest  sabotage a lemma on purpose and demand the harness catch,
 //               classify, and shrink it (validates the harness itself)
+//   --prune_check  pruned vs unpruned matcher twins (GeoPrune soundness)
+//   --tree_twin kinetic trees vs the brute-force schedule oracle
 //
 // All randomness is seed-driven; identical invocations are bit-identical.
 
@@ -33,7 +35,7 @@
 #include "prune/ellipse_prefilter.h"
 #include "rideshare/baseline_matcher.h"
 #include "rideshare/dsa_matcher.h"
-#include "rideshare/ellipse_matcher.h"
+#include "rideshare/pruned_matcher.h"
 #include "rideshare/ssa_matcher.h"
 
 namespace ptar::check {
@@ -82,10 +84,9 @@ int Help() {
       "  --report_out=FILE versioned JSON run report (schema v2, "
       "\"differential\" counters)\n"
       "  --prune_check     prune-soundness mode: run BA/SSA/DSA with and\n"
-      "                    without the GeoPrune ellipse prefilter (plus the\n"
-      "                    standalone ELLIPSE matcher) against the\n"
-      "                    reference; any skyline difference between pruned\n"
-      "                    and unpruned twins fails the sweep\n"
+      "                    without the GeoPrune ellipse prefilter against\n"
+      "                    the reference; any skyline difference between\n"
+      "                    pruned and unpruned twins fails the sweep\n"
       "  --corpus_dir=DIR  with --prune_check: first replay every .replay\n"
       "                    file in DIR (the saved regression corpus) under\n"
       "                    the pruned matcher set, then fuzz --seeds\n"
@@ -105,15 +106,19 @@ int Help() {
       "                    fail_rate, seed, slow_us, stall_every, stall_us\n"
       "                    (e.g. fail_rate=0.05,seed=7); faulted results\n"
       "                    must still be subsets of the clean reference\n"
-      "  --tree_twin=N     kinetic-tree twin mode: fuzz N seeded op\n"
-      "                    sequences through the legacy (flat-vector) and\n"
-      "                    arena tree representations in lockstep; any\n"
-      "                    observable difference (branch sets, bookkeeping,\n"
-      "                    statuses, auditor findings) fails the run\n"
-      "  --tree_cap=N      with --tree_twin: also ride a capped arena tree\n"
+      "  --tree_twin=N     kinetic-tree twin mode: drive a kinetic tree\n"
+      "                    through N seeded op sequences and compare its\n"
+      "                    branch sets and insertion candidates with a\n"
+      "                    brute-force schedule oracle; any missing or\n"
+      "                    spurious schedule, leg drift, bookkeeping\n"
+      "                    mismatch or auditor finding fails the run.\n"
+      "                    Combines only with --first_seed, --tree_cap,\n"
+      "                    --distance_backend, --report_out and --verbose\n"
+      "  --tree_cap=N      with --tree_twin: also ride a capped tree\n"
       "                    (--tree_max_branches=N) and check it stays a\n"
-      "                    branch-subset with every loss attributed to its\n"
-      "                    drop counters (default 8; 0 disables)\n");
+      "                    subset of the oracle's schedules with every loss\n"
+      "                    attributed to its drop counters (default 8;\n"
+      "                    0 disables)\n");
   return 0;
 }
 
@@ -363,10 +368,9 @@ int SelfTest(int broken_lemma, std::uint64_t seeds,
   return 1;
 }
 
-/// BA/SSA/DSA with and without the GeoPrune prefilter, plus the standalone
-/// ELLIPSE matcher. The unpruned trio already pins the exact answer against
-/// the reference, so any divergence on a "+EL" twin (or ELLIPSE) is a
-/// prefilter soundness bug, not a matcher bug.
+/// BA/SSA/DSA with and without the GeoPrune prefilter. The unpruned trio
+/// already pins the exact answer against the reference, so any divergence
+/// on a "+EL" twin is a prefilter soundness bug, not a matcher bug.
 MatcherFactory MakePruneFactory(double shrink_factor) {
   return [shrink_factor] {
     prune::EllipsePrefilter::Options popts;
@@ -381,7 +385,6 @@ MatcherFactory MakePruneFactory(double shrink_factor) {
         std::make_unique<SsaMatcher>(1.0), popts));
     matchers.push_back(std::make_unique<PrunedMatcher>(
         std::make_unique<DsaMatcher>(1.0), popts));
-    matchers.push_back(std::make_unique<EllipseMatcher>(popts));
     return matchers;
   };
 }
@@ -488,8 +491,8 @@ int PruneSelfTest(double shrink_factor, std::uint64_t seeds,
   return 1;
 }
 
-/// Tree-twin mode: drives the legacy (flat-vector) and arena kinetic trees
-/// through identical op sequences and fails on any observable difference.
+/// Tree-twin mode: drives kinetic trees through seeded op sequences and
+/// fails on any difference from the brute-force schedule oracle.
 /// Exercised by differential-nightly on both distance backends.
 int TreeTwin(std::uint64_t first_seed, std::uint64_t seeds, std::size_t cap,
              DistanceBackend backend, const std::string& report_out,
@@ -498,12 +501,16 @@ int TreeTwin(std::uint64_t first_seed, std::uint64_t seeds, std::size_t cap,
   for (std::uint64_t seed = first_seed; seed < first_seed + seeds; ++seed) {
     const TreeTwinOutcome one = RunTreeTwin(seed, backend, cap);
     if (verbose) {
-      std::printf("seed %llu: %llu ops, %llu commits, %llu arrivals%s\n",
-                  static_cast<unsigned long long>(seed),
-                  static_cast<unsigned long long>(one.ops),
-                  static_cast<unsigned long long>(one.commits),
-                  static_cast<unsigned long long>(one.arrivals),
-                  one.ok() ? "" : " [DIVERGED]");
+      std::printf(
+          "seed %llu: %llu ops, %llu commits, %llu arrivals, %llu oracle "
+          "comparisons%s\n",
+          static_cast<unsigned long long>(seed),
+          static_cast<unsigned long long>(one.ops),
+          static_cast<unsigned long long>(one.commits),
+          static_cast<unsigned long long>(one.arrivals),
+          static_cast<unsigned long long>(one.branch_checks +
+                                          one.candidate_checks),
+          one.ok() ? "" : " [DIVERGED]");
     }
     total.Fold(one);
   }
@@ -517,6 +524,9 @@ int TreeTwin(std::uint64_t first_seed, std::uint64_t seeds, std::size_t cap,
     report.metrics.AddCounter("tree_twin/ops", total.ops);
     report.metrics.AddCounter("tree_twin/commits", total.commits);
     report.metrics.AddCounter("tree_twin/arrivals", total.arrivals);
+    report.metrics.AddCounter("tree_twin/branch_checks", total.branch_checks);
+    report.metrics.AddCounter("tree_twin/candidate_checks",
+                              total.candidate_checks);
     report.metrics.AddCounter("tree_twin/divergences", total.divergences);
     report.metrics.AddCounter("tree_twin/capped_losses", total.capped_losses);
     report.metrics.AddCounter("tree_twin/capped_drops", total.capped_drops);
@@ -525,20 +535,23 @@ int TreeTwin(std::uint64_t first_seed, std::uint64_t seeds, std::size_t cap,
   }
   if (!total.ok()) {
     std::fprintf(stderr,
-                 "FAIL: %llu divergence(s) across %llu seed(s) of the "
-                 "kinetic-tree twin\n",
+                 "FAIL: %llu divergence(s) from the schedule oracle across "
+                 "%llu seed(s) of the kinetic-tree twin\n",
                  static_cast<unsigned long long>(total.divergences),
                  static_cast<unsigned long long>(seeds));
     return 1;
   }
   std::printf(
-      "PASS: legacy and arena kinetic trees agreed over %llu seed(s) "
-      "(%llu ops, %llu commits, %llu arrivals; capped twin: %llu attributed "
-      "loss(es), %llu dropped branch(es))\n",
+      "PASS: kinetic trees matched the schedule oracle over %llu seed(s) "
+      "(%llu ops, %llu commits, %llu arrivals; %llu branch-set and %llu "
+      "candidate-set comparisons; capped tree: %llu attributed loss(es), "
+      "%llu dropped branch(es))\n",
       static_cast<unsigned long long>(seeds),
       static_cast<unsigned long long>(total.ops),
       static_cast<unsigned long long>(total.commits),
       static_cast<unsigned long long>(total.arrivals),
+      static_cast<unsigned long long>(total.branch_checks),
+      static_cast<unsigned long long>(total.candidate_checks),
       static_cast<unsigned long long>(total.capped_losses),
       static_cast<unsigned long long>(total.capped_drops));
   return 0;
@@ -589,6 +602,18 @@ int Main(int argc, char** argv) {
     return FailUsage("--tree_twin must be >= 1");
   }
   if (*tree_cap < 0) return FailUsage("--tree_cap must be >= 0");
+  if (!flags.Has("tree_twin") && flags.Has("tree_cap")) {
+    return FailUsage("--tree_cap requires --tree_twin");
+  }
+  if (flags.Has("tree_twin")) {
+    for (const char* other : {"selftest", "prune_check", "replay", "inject",
+                              "request_budget", "shrink"}) {
+      if (flags.Has(other)) {
+        return FailUsage("--tree_twin does not combine with --" +
+                         std::string(other));
+      }
+    }
+  }
   if (*shrink_ellipse <= 0.0 || *shrink_ellipse > 1.0) {
     return FailUsage("--shrink_ellipse must be in (0, 1]");
   }
